@@ -49,6 +49,20 @@ std::span<const T> stage_view(const std::vector<std::uint8_t>& slot) {
   return {reinterpret_cast<const T*>(slot.data()), slot.size() / sizeof(T)};
 }
 
+/// Size check of a reduction: true when every rank staged `count`
+/// elements. Every rank runs it over every slot between the two barriers
+/// and raises after the closing one, so a mismatch raises on all ranks
+/// together: no rank reads past a short slot, none waits alone at the
+/// closing barrier, and none rewrites its slot for the next collective
+/// while a peer still reads it.
+template <typename T>
+bool stage_sizes_match(const detail::Context& context, std::size_t count) {
+  for (int r = 0; r < context.size(); ++r) {
+    if (stage_view<T>(context.staging_view(r)).size() != count) return false;
+  }
+  return true;
+}
+
 /// Emits one communication span per top-level collective. The software
 /// allreduce algorithms (ring, recursive doubling) are built on send/recv,
 /// so a thread-local depth counter suppresses the nested spans — the trace
@@ -263,10 +277,10 @@ void Comm::reduce(std::span<double> data, ReduceOp op, int root) {
   support::Stopwatch watch;
   stage_copy_in<double>(context_->staging(rank_), std::span<const double>(data));
   sync();
-  if (rank_ == root) {
+  const bool sizes_match = stage_sizes_match<double>(*context_, data.size());
+  if (sizes_match && rank_ == root) {
     // Deterministic reduction order: rank 0, 1, ..., P-1.
     auto first = stage_view<double>(context_->staging_view(0));
-    UOI_CHECK_DIMS(first.size() == data.size(), "reduce size mismatch");
     std::copy(first.begin(), first.end(), data.begin());
     for (int r = 1; r < size(); ++r) {
       apply_reduce<double>(op, data,
@@ -274,6 +288,7 @@ void Comm::reduce(std::span<double> data, ReduceOp op, int root) {
     }
   }
   sync();
+  UOI_CHECK_DIMS(sizes_match, "reduce size mismatch");
   auto& entry = stats_.of(CommCategory::kReduce);
   ++entry.calls;
   entry.bytes += data.size_bytes();
@@ -288,13 +303,16 @@ void Comm::allreduce_impl(std::span<T> data, ReduceOp op) {
   support::Stopwatch watch;
   stage_copy_in<T>(context_->staging(rank_), std::span<const T>(data));
   sync();
-  auto first = stage_view<T>(context_->staging_view(0));
-  UOI_CHECK_DIMS(first.size() == data.size(), "allreduce size mismatch");
-  std::copy(first.begin(), first.end(), data.begin());
-  for (int r = 1; r < size(); ++r) {
-    apply_reduce<T>(op, data, stage_view<T>(context_->staging_view(r)));
+  const bool sizes_match = stage_sizes_match<T>(*context_, data.size());
+  if (sizes_match) {
+    auto first = stage_view<T>(context_->staging_view(0));
+    std::copy(first.begin(), first.end(), data.begin());
+    for (int r = 1; r < size(); ++r) {
+      apply_reduce<T>(op, data, stage_view<T>(context_->staging_view(r)));
+    }
   }
   sync();
+  UOI_CHECK_DIMS(sizes_match, "allreduce size mismatch");
   auto& entry = stats_.of(CommCategory::kAllreduce);
   ++entry.calls;
   entry.bytes += data.size_bytes();

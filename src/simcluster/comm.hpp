@@ -11,10 +11,11 @@
 // mechanically.
 //
 // Collectives are implemented with a staging area plus a generation-counted
-// central barrier: correct and deterministic at the rank counts the
-// functional tests/benches use (P <= 32). Each Comm tracks per-category call
-// counts, byte volumes, and real elapsed time so the benchmark harness can
-// reproduce the paper's compute/communication/distribution breakdowns.
+// spin-then-park barrier (context.hpp): correct and deterministic at the
+// rank counts the functional tests/benches use (P <= 32). Each Comm tracks
+// per-category call counts, byte volumes, and real elapsed time so the
+// benchmark harness can reproduce the paper's compute/communication/
+// distribution breakdowns.
 
 #include <array>
 #include <cstdint>

@@ -7,11 +7,10 @@
 //
 // Two backends exist:
 //  - ThreadContext (this header): ranks are std::threads of one process
-//    sharing the staging area directly. A generation-counted central
-//    barrier implements the two-barrier collective protocol (write own
-//    slot -> barrier -> read peers' slots -> barrier). This is the seed
-//    behavior, bit-identical to the pre-transport runtime, and stays the
-//    default / fast test path.
+//    sharing the staging area directly. A lock-free, generation-counted
+//    spin-then-park barrier implements the two-barrier collective
+//    protocol (write own slot -> barrier -> read peers' slots -> barrier).
+//    It is the default / fast test path and the bit-identity reference.
 //  - SocketContext (socket_context.hpp): ranks are OS processes connected
 //    by Unix-domain sockets; each process holds a local mirror of the
 //    staging area that barrier messages keep coherent (see
@@ -31,6 +30,9 @@
 // reads of failure state are lock-free (atomics) so a rank inside a
 // context never takes the registry lock.
 //
+// Per-rank words that every collective writes (arrival stamps, progress
+// epochs) sit in their own cache line so ranks do not false-share.
+//
 // Internal header; users include comm.hpp / cluster.hpp / window.hpp.
 
 #include <algorithm>
@@ -44,6 +46,7 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "simcluster/fault.hpp"
@@ -56,6 +59,20 @@ class Comm;
 namespace uoi::sim::detail {
 
 class Context;
+
+/// A 64-bit atomic alone in its cache line.
+struct alignas(64) PaddedAtomicU64 {
+  std::atomic<std::uint64_t> value{0};
+};
+
+/// Spin-loop hint: lets the sibling hyperthread run and saves power.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#endif
+}
 
 /// Job-wide failure state shared by every communicator of one Cluster run:
 /// which global ranks are dead, in what order they died, and which
@@ -77,7 +94,7 @@ class FailureRegistry {
             static_cast<std::size_t>(job_size))),
         onesided_ops_(std::make_unique<std::atomic<std::uint64_t>[]>(
             static_cast<std::size_t>(job_size))),
-        progress_epochs_(std::make_unique<std::atomic<std::uint64_t>[]>(
+        progress_epochs_(std::make_unique<PaddedAtomicU64[]>(
             static_cast<std::size_t>(job_size))),
         suspected_epochs_(std::make_unique<std::atomic<std::uint64_t>[]>(
             static_cast<std::size_t>(job_size))),
@@ -88,7 +105,6 @@ class FailureRegistry {
       failed_[static_cast<std::size_t>(r)].store(false);
       collective_ops_[static_cast<std::size_t>(r)].store(0);
       onesided_ops_[static_cast<std::size_t>(r)].store(0);
-      progress_epochs_[static_cast<std::size_t>(r)].store(0);
       suspected_epochs_[static_cast<std::size_t>(r)].store(kNotSuspected);
     }
   }
@@ -200,7 +216,7 @@ class FailureRegistry {
   /// pending (unclaimed) suspicion against it.
   void bump_progress(int global_rank) {
     const auto r = static_cast<std::size_t>(global_rank);
-    progress_epochs_[r].fetch_add(1, std::memory_order_relaxed);
+    progress_epochs_[r].value.fetch_add(1, std::memory_order_relaxed);
     std::uint64_t suspected = suspected_epochs_[r].load(std::memory_order_relaxed);
     if (suspected != kNotSuspected && suspected != kClaimed) {
       suspected_epochs_[r].compare_exchange_strong(suspected, kNotSuspected);
@@ -213,11 +229,12 @@ class FailureRegistry {
   /// same guarantee bump_progress gives in shared memory.
   void note_progress(int global_rank, std::uint64_t epoch) {
     const auto r = static_cast<std::size_t>(global_rank);
-    std::uint64_t current = progress_epochs_[r].load(std::memory_order_relaxed);
+    std::uint64_t current =
+        progress_epochs_[r].value.load(std::memory_order_relaxed);
     bool advanced = false;
     while (epoch > current) {
-      if (progress_epochs_[r].compare_exchange_weak(current, epoch,
-                                                    std::memory_order_relaxed)) {
+      if (progress_epochs_[r].value.compare_exchange_weak(
+              current, epoch, std::memory_order_relaxed)) {
         advanced = true;
         break;
       }
@@ -230,7 +247,7 @@ class FailureRegistry {
   }
 
   [[nodiscard]] std::uint64_t progress_epoch(int global_rank) const {
-    return progress_epochs_[static_cast<std::size_t>(global_rank)].load(
+    return progress_epochs_[static_cast<std::size_t>(global_rank)].value.load(
         std::memory_order_relaxed);
   }
 
@@ -243,7 +260,7 @@ class FailureRegistry {
     if (is_failed(global_rank)) return;
     std::uint64_t expected = kNotSuspected;
     suspected_epochs_[r].compare_exchange_strong(
-        expected, progress_epochs_[r].load(std::memory_order_relaxed));
+        expected, progress_epochs_[r].value.load(std::memory_order_relaxed));
   }
 
   enum class SuspectVerdict {
@@ -261,7 +278,7 @@ class FailureRegistry {
     if (at == kNotSuspected || at == kClaimed || is_failed(global_rank)) {
       return SuspectVerdict::kNone;
     }
-    if (progress_epochs_[r].load(std::memory_order_relaxed) != at) {
+    if (progress_epochs_[r].value.load(std::memory_order_relaxed) != at) {
       suspected_epochs_[r].compare_exchange_strong(at, kNotSuspected);
       return SuspectVerdict::kCleared;
     }
@@ -308,7 +325,8 @@ class FailureRegistry {
   std::atomic<std::uint64_t> fail_seq_{0};
   std::unique_ptr<std::atomic<std::uint64_t>[]> collective_ops_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> onesided_ops_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> progress_epochs_;
+  // Bumped by every rank on every collective entry: one line per rank.
+  std::unique_ptr<PaddedAtomicU64[]> progress_epochs_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> suspected_epochs_;
   std::vector<std::uint64_t> death_seq_;  // guarded by mutex_
   std::vector<std::uint64_t> acked_seq_;  // guarded by mutex_
@@ -539,9 +557,28 @@ class Context {
 };
 
 /// The shared-memory backend: ranks are threads of one process, staging
-/// slots are read in place, and the barrier is a generation-counted
-/// central barrier. This is the seed implementation, moved verbatim
-/// behind the Context interface.
+/// slots are read in place, and the barrier is a lock-free,
+/// generation-counted spin-then-park barrier.
+///
+/// Barrier protocol. One atomic word, state_, packs the release generation
+/// (high 32 bits), the failure-sequence snapshot of the last release (bits
+/// 31..1) and the revoked flag (bit 0). A rank arrives by storing the
+/// generation it arrived at into its own cache-line-padded stamp, then
+/// scans the stamps: whoever sees every alive rank stamped releases the
+/// barrier with one CAS that bumps the generation and publishes the
+/// snapshot together. revoke() sets bit 0, so a release CAS and a revoke
+/// are totally ordered — a barrier is either released before the revoke
+/// (every waiter returns) or never (every waiter raises). Stamps are
+/// generation-tagged, so nothing is reset between generations and an
+/// arrival abandoned by a raise cannot leak into a later one. An arrival
+/// racing a mark_failed is caught by one side or both: the arriver stores
+/// its stamp before reading the failed flags, and on_failure_update runs
+/// after the flag is set and re-scans the stamps (all seq_cst).
+///
+/// Early arrivers spin on state_ for a bounded time (see spin_budget),
+/// then park on cv_; a releaser takes mutex_ and notifies only when some
+/// rank is parked. Failure updates, the watchdog-armed deadline wait and
+/// the shrink protocol's recovery barrier run under mutex_.
 class ThreadContext final : public Context {
  public:
   /// Root context of a job: global rank r is local rank r, fresh registry.
@@ -555,7 +592,9 @@ class ThreadContext final : public Context {
                 std::vector<int> global_ranks)
       : Context(size, next_comm_id(), std::move(registry),
                 std::move(global_ranks)),
-        arrived_(static_cast<std::size_t>(size), 0),
+        spin_budget_(spin_budget(registry_->job_size())),
+        stamps_(std::make_unique<PaddedAtomicU64[]>(
+            static_cast<std::size_t>(size))),
         recovery_arrived_(static_cast<std::size_t>(size), 0),
         staging_(static_cast<std::size_t>(size)),
         pointer_slots_(static_cast<std::size_t>(size)),
@@ -572,29 +611,28 @@ class ThreadContext final : public Context {
 
   std::uint64_t barrier_wait(int rank, const WatchdogConfig* watchdog = nullptr,
                              RecoveryStats* recovery = nullptr) override {
-    std::unique_lock<std::mutex> lock(mutex_);
-    throw_if_unusable(rank);
-    arrived_[static_cast<std::size_t>(rank)] = 1;
-    const std::uint64_t my_generation = generation_;
-    if (all_alive_arrived()) {
-      release_barrier_locked();
-      return release_snapshot_;
+    std::uint64_t state = state_.load();
+    if (is_revoked(state)) {
+      throw RankFailedError("collective on a revoked communicator");
     }
-    if (watchdog == nullptr || !watchdog->armed()) {
-      cv_.wait(lock, [&] {
-        return generation_ != my_generation || revoked_.load() ||
-               rank_is_failed(rank);
-      });
+    if (rank_is_failed(rank)) {
+      throw RankFailedError("collective entered by a failed rank");
+    }
+    const std::uint64_t generation = generation_of(state);
+    stamps_[static_cast<std::size_t>(rank)].value.store(stamp_of(generation));
+    if (all_alive_arrived(generation)) {
+      if (try_release(state)) wake_parked();
     } else {
-      watchdog_wait_locked(lock, rank, my_generation, *watchdog, recovery);
+      state = spin_while_waiting(rank, generation);
     }
-    if (generation_ != my_generation) return release_snapshot_;
+    if (!released_or_failed(state, generation, rank)) {
+      state = park(rank, generation, watchdog, recovery);
+    }
+    if (generation_of(state) != generation) return snapshot_of(state);
     // Woken without a release: revoked, or this rank was marked dead while
-    // waiting. Withdraw the arrival so the flag cannot leak into a later
-    // generation, then raise.
-    arrived_[static_cast<std::size_t>(rank)] = 0;
-    lock.unlock();
-    throw RankFailedError(revoked_.load()
+    // waiting. The stamp can stay: a revoked context never releases again,
+    // and barrier scans skip a dead rank's stamp.
+    throw RankFailedError(is_revoked(state)
                               ? "communicator revoked during a collective"
                               : "rank failed while inside a barrier");
   }
@@ -603,6 +641,7 @@ class ThreadContext final : public Context {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       revoked_.store(true);
+      state_.fetch_or(kRevokedBit);
     }
     cv_.notify_all();
     recovery_cv_.notify_all();
@@ -611,8 +650,9 @@ class ThreadContext final : public Context {
   void on_failure_update() override {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (!revoked_.load() && any_arrived() && all_alive_arrived()) {
-        release_barrier_locked();
+      std::uint64_t state = state_.load();
+      if (!is_revoked(state) && all_alive_arrived(generation_of(state))) {
+        try_release(state);
       }
       if (any_recovery_arrived() && all_alive_recovery_arrived()) {
         std::fill(recovery_arrived_.begin(), recovery_arrived_.end(), 0);
@@ -741,21 +781,124 @@ class ThreadContext final : public Context {
                       [&] { return recovery_generation_ != my_generation; });
   }
 
-  void throw_if_unusable(int rank) {
-    if (revoked_.load()) {
-      throw RankFailedError("collective on a revoked communicator");
+  static constexpr std::uint64_t kRevokedBit = 1;
+
+  [[nodiscard]] static std::uint64_t generation_of(std::uint64_t state) {
+    return state >> 32;
+  }
+  [[nodiscard]] static std::uint64_t snapshot_of(std::uint64_t state) {
+    return (state & 0xffffffffu) >> 1;
+  }
+  [[nodiscard]] static bool is_revoked(std::uint64_t state) {
+    return (state & kRevokedBit) != 0;
+  }
+  /// Stamp value of a rank that arrived at `generation` (0 = never).
+  [[nodiscard]] static std::uint64_t stamp_of(std::uint64_t generation) {
+    return generation + 1;
+  }
+
+  /// How long an early arrival spins before parking. Spinning trades a core
+  /// for the futex sleep/wake pair a parked waiter costs, which only pays
+  /// when every rank thread of the job has a core of its own: with more
+  /// rank threads than hardware threads, the spinner would steal the core
+  /// a straggler needs, so oversubscribed jobs park at once. The budget
+  /// covers the arrival skew of a consensus loop (a few microseconds) with
+  /// a wide margin while bounding the core a rank parked behind genuinely
+  /// long work burns.
+  [[nodiscard]] static std::chrono::nanoseconds spin_budget(int job_size) {
+    static const unsigned cores = std::thread::hardware_concurrency();
+    if (cores == 0 || static_cast<unsigned>(job_size) > cores) {
+      return std::chrono::nanoseconds(0);
     }
-    if (rank_is_failed(rank)) {
-      throw RankFailedError("collective entered by a failed rank");
+    return std::chrono::microseconds(50);
+  }
+
+  [[nodiscard]] bool released_or_failed(std::uint64_t state,
+                                        std::uint64_t generation,
+                                        int rank) const {
+    return generation_of(state) != generation || is_revoked(state) ||
+           rank_is_failed(rank);
+  }
+
+  /// True when every alive rank stamped `generation` (and one is alive).
+  [[nodiscard]] bool all_alive_arrived(std::uint64_t generation) const {
+    bool any_alive = false;
+    for (int r = 0; r < size_; ++r) {
+      if (rank_is_failed(r)) continue;
+      if (stamps_[static_cast<std::size_t>(r)].value.load() !=
+          stamp_of(generation)) {
+        return false;
+      }
+      any_alive = true;
+    }
+    return any_alive;
+  }
+
+  /// Releases the generation in `expected` unless a peer released it or the
+  /// context was revoked first; either way `expected` ends as the current
+  /// state. The snapshot and the generation bump are one store, so every
+  /// rank released together reads the same snapshot. Returns true when
+  /// this call released.
+  bool try_release(std::uint64_t& expected) {
+    const std::uint64_t released =
+        ((generation_of(expected) + 1) << 32) | (registry_->fail_seq() << 1);
+    if (!state_.compare_exchange_strong(expected, released)) return false;
+    expected = released;
+    return true;
+  }
+
+  /// Wakes parked waiters after a lock-free release. Pairs with park(): a
+  /// waiter counts itself in parked_ before checking state_ under mutex_,
+  /// and holds mutex_ until it is inside cv_.wait, so either it sees the
+  /// release or it gets this notify.
+  void wake_parked() {
+    if (parked_.load() == 0) return;
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    cv_.notify_all();
+  }
+
+  /// Spin phase of an early arrival: polls state_ for up to spin_budget_.
+  /// Returns the last state read.
+  std::uint64_t spin_while_waiting(int rank, std::uint64_t generation) {
+    std::uint64_t state = state_.load();
+    if (spin_budget_.count() == 0) return state;
+    const auto deadline = std::chrono::steady_clock::now() + spin_budget_;
+    for (unsigned i = 1;; ++i) {
+      if (released_or_failed(state, generation, rank)) return state;
+      cpu_relax();
+      // Reading the clock costs ~20 ns; poll it every 64 spins.
+      if (i % 64 == 0 && std::chrono::steady_clock::now() >= deadline) {
+        return state;
+      }
+      state = state_.load();
     }
   }
 
-  /// Global ranks that are alive but have not arrived at the current
-  /// barrier generation. Caller holds mutex_.
-  [[nodiscard]] std::vector<int> straggler_globals_locked() const {
+  /// Park phase: a plain condition wait, or the deadline-bounded watchdog
+  /// wait when armed. Returns the state that ended the wait.
+  std::uint64_t park(int rank, std::uint64_t generation,
+                     const WatchdogConfig* watchdog, RecoveryStats* recovery) {
+    parked_.fetch_add(1);
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (watchdog == nullptr || !watchdog->armed()) {
+      cv_.wait(lock, [&] {
+        return released_or_failed(state_.load(), generation, rank);
+      });
+    } else {
+      watchdog_wait_locked(lock, rank, generation, *watchdog, recovery);
+    }
+    parked_.fetch_sub(1);
+    return state_.load();
+  }
+
+  /// Global ranks that are alive but have not arrived at `generation`.
+  [[nodiscard]] std::vector<int> straggler_globals(
+      std::uint64_t generation) const {
     std::vector<int> out;
     for (int r = 0; r < size_; ++r) {
-      if (!rank_is_failed(r) && arrived_[static_cast<std::size_t>(r)] == 0) {
+      if (!rank_is_failed(r) &&
+          stamps_[static_cast<std::size_t>(r)].value.load() !=
+              stamp_of(generation)) {
         out.push_back(global_rank(r));
       }
     }
@@ -770,12 +913,11 @@ class ThreadContext final : public Context {
   /// Registry calls run with mutex_ released (lock order: registry before
   /// context; mark_failed sweeps back into on_failure_update).
   void watchdog_wait_locked(std::unique_lock<std::mutex>& lock, int rank,
-                            std::uint64_t my_generation,
+                            std::uint64_t generation,
                             const WatchdogConfig& watchdog,
                             RecoveryStats* recovery) {
     const auto released = [&] {
-      return generation_ != my_generation || revoked_.load() ||
-             rank_is_failed(rank);
+      return released_or_failed(state_.load(), generation, rank);
     };
     const auto timeout = std::chrono::milliseconds(watchdog.timeout_ms);
     const auto poll = std::chrono::milliseconds(
@@ -793,13 +935,13 @@ class ThreadContext final : public Context {
       registry_->bump_progress(global_rank(rank));
       const auto elapsed = std::chrono::steady_clock::now() - cycle_start;
       if (!suspects_recorded && elapsed * 2 >= timeout) {
-        const auto stragglers = straggler_globals_locked();
+        const auto stragglers = straggler_globals(generation);
         lock.unlock();
         for (const int g : stragglers) registry_->suspect(g);
         lock.lock();
         suspects_recorded = true;
       } else if (suspects_recorded && elapsed >= timeout) {
-        const auto stragglers = straggler_globals_locked();
+        const auto stragglers = straggler_globals(generation);
         lock.unlock();
         for (const int g : stragglers) {
           switch (registry_->confirm_or_clear_suspect(g)) {
@@ -824,18 +966,6 @@ class ThreadContext final : public Context {
     }
   }
 
-  [[nodiscard]] bool any_arrived() const {
-    return std::any_of(arrived_.begin(), arrived_.end(),
-                       [](char a) { return a != 0; });
-  }
-  [[nodiscard]] bool all_alive_arrived() const {
-    for (int r = 0; r < size_; ++r) {
-      if (!rank_is_failed(r) && arrived_[static_cast<std::size_t>(r)] == 0) {
-        return false;
-      }
-    }
-    return true;
-  }
   [[nodiscard]] bool any_recovery_arrived() const {
     return std::any_of(recovery_arrived_.begin(), recovery_arrived_.end(),
                        [](char a) { return a != 0; });
@@ -850,21 +980,16 @@ class ThreadContext final : public Context {
     return true;
   }
 
-  void release_barrier_locked() {
-    std::fill(arrived_.begin(), arrived_.end(), 0);
-    ++generation_;
-    release_snapshot_ = registry_->fail_seq();
-    cv_.notify_all();
-  }
-
+  // Read by every spinning rank; written once per release or revoke.
+  alignas(64) std::atomic<std::uint64_t> state_{0};
+  std::atomic<int> parked_{0};  // ranks inside park()
+  const std::chrono::nanoseconds spin_budget_;
+  std::unique_ptr<PaddedAtomicU64[]> stamps_;  // per-rank arrival stamps
   std::mutex mutex_;
   std::condition_variable cv_;
   std::condition_variable recovery_cv_;
-  std::vector<char> arrived_;           // guarded by mutex_
   std::vector<char> recovery_arrived_;  // guarded by mutex_
-  std::uint64_t generation_ = 0;
   std::uint64_t recovery_generation_ = 0;
-  std::uint64_t release_snapshot_ = 0;
   const void* recovery_slot_ = nullptr;
   std::vector<std::vector<std::uint8_t>> staging_;
   std::vector<const void*> pointer_slots_;

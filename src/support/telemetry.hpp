@@ -110,8 +110,9 @@ class TelemetryEmitter {
   std::mutex stop_mutex_;
   std::condition_variable stop_cv_;
   std::uint64_t seq_ = 0;
-  std::uint64_t lines_written_ = 0;
-  std::uint64_t lines_dropped_ = 0;
+  // Written by the emitter thread, read by any thread through the getters.
+  std::atomic<std::uint64_t> lines_written_{0};
+  std::atomic<std::uint64_t> lines_dropped_{0};
   std::deque<std::string> pending_;
   /// Bytes of pending_.front() already on the socket: a line that started
   /// transmitting must finish (short writes resume here), or the consumer

@@ -18,6 +18,10 @@ thread_local int t_thread_rank = 0;
 
 std::atomic<int> g_next_tid{0};
 
+std::chrono::steady_clock::rep now_ticks() {
+  return std::chrono::steady_clock::now().time_since_epoch().count();
+}
+
 /// Stable per-OS-thread id for the Chrome trace's tid field.
 int this_thread_tid() {
   thread_local int tid = g_next_tid.fetch_add(1, std::memory_order_relaxed);
@@ -87,7 +91,7 @@ TraceTotals& TraceTotals::operator-=(const TraceTotals& other) {
   return *this;
 }
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
+Tracer::Tracer() : epoch_ticks_(now_ticks()) {}
 
 Tracer& Tracer::instance() {
   static Tracer tracer;
@@ -99,11 +103,17 @@ void Tracer::set_capture_events(bool value) {
 }
 
 void Tracer::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.clear();
-  totals_.clear();
-  histograms_.clear();
-  epoch_ = std::chrono::steady_clock::now();
+  {
+    std::lock_guard<std::mutex> lock(shards_mutex_);
+    for (auto& [rank, shard] : shards_) {
+      std::lock_guard<std::mutex> shard_lock(shard->mutex);
+      shard->active = false;
+      shard->totals = TraceTotals{};
+      shard->histograms = CategoryHistograms{};
+      shard->events.clear();
+    }
+  }
+  epoch_ticks_.store(now_ticks(), std::memory_order_relaxed);
 }
 
 void Tracer::set_thread_rank(int rank) { t_thread_rank = rank < 0 ? 0 : rank; }
@@ -111,14 +121,31 @@ void Tracer::set_thread_rank(int rank) { t_thread_rank = rank < 0 ? 0 : rank; }
 int Tracer::thread_rank() { return t_thread_rank; }
 
 double Tracer::now_seconds() const {
-  std::chrono::steady_clock::time_point epoch;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    epoch = epoch_;
+  const std::chrono::steady_clock::duration since_epoch(
+      now_ticks() - epoch_ticks_.load(std::memory_order_relaxed));
+  return std::chrono::duration<double>(since_epoch).count();
+}
+
+Tracer::Shard& Tracer::shard(int rank) {
+  // A rank thread records for one rank; caching its shard skips the map.
+  thread_local int cached_rank = -1;
+  thread_local Shard* cached = nullptr;
+  if (cached != nullptr && cached_rank == rank) return *cached;
+  std::lock_guard<std::mutex> lock(shards_mutex_);
+  auto& slot = shards_[rank];
+  if (!slot) slot = std::make_unique<Shard>();
+  cached_rank = rank;
+  cached = slot.get();
+  return *cached;
+}
+
+template <typename Fn>
+void Tracer::for_each_active_shard(Fn&& fn) const {
+  std::lock_guard<std::mutex> lock(shards_mutex_);
+  for (const auto& [rank, shard] : shards_) {
+    std::lock_guard<std::mutex> shard_lock(shard->mutex);
+    if (shard->active) fn(rank, *shard);
   }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch)
-      .count();
 }
 
 void Tracer::record(std::string name, TraceCategory category, int rank,
@@ -132,15 +159,17 @@ void Tracer::record(std::string name, TraceCategory category, int rank,
                     const TraceStamp& stamp) {
   if (rank < 0) rank = thread_rank();
   const bool capture = capture_events();
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& entry = totals_[rank].of(category);
+  Shard& s = shard(rank);
+  std::lock_guard<std::mutex> lock(s.mutex);
+  s.active = true;
+  auto& entry = s.totals.of(category);
   ++entry.calls;
   entry.seconds += duration_seconds;
-  histograms_[rank][static_cast<std::size_t>(category)].add(duration_seconds);
+  s.histograms[static_cast<std::size_t>(category)].add(duration_seconds);
   if (capture) {
-    events_.push_back(TraceEvent{std::move(name), category, rank,
-                                 this_thread_tid(), start_seconds,
-                                 duration_seconds, stamp});
+    s.events.push_back(TraceEvent{std::move(name), category, rank,
+                                  this_thread_tid(), start_seconds,
+                                  duration_seconds, stamp});
   }
 }
 
@@ -156,59 +185,62 @@ void Tracer::instant(std::string name, TraceCategory category, int rank) {
 }
 
 TraceTotals Tracer::totals(int rank) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = totals_.find(rank);
-  return it == totals_.end() ? TraceTotals{} : it->second;
+  TraceTotals out;
+  for_each_active_shard([&](int r, const Shard& s) {
+    if (r == rank) out = s.totals;
+  });
+  return out;
 }
 
 TraceTotals Tracer::totals() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   TraceTotals all;
-  for (const auto& [rank, totals] : totals_) all += totals;
+  for_each_active_shard([&](int, const Shard& s) { all += s.totals; });
   return all;
 }
 
 std::vector<int> Tracer::ranks() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<int> out;
-  out.reserve(totals_.size());
-  for (const auto& [rank, totals] : totals_) out.push_back(rank);
+  for_each_active_shard([&](int rank, const Shard&) { out.push_back(rank); });
   return out;  // std::map iteration order == ascending
 }
 
 std::map<int, TraceTotals> Tracer::all_totals() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return totals_;
+  std::map<int, TraceTotals> out;
+  for_each_active_shard(
+      [&](int rank, const Shard& s) { out.emplace(rank, s.totals); });
+  return out;
 }
 
 LogHistogram Tracer::histogram(int rank, TraceCategory category) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = histograms_.find(rank);
-  return it == histograms_.end()
-             ? LogHistogram{}
-             : it->second[static_cast<std::size_t>(category)];
+  LogHistogram out;
+  for_each_active_shard([&](int r, const Shard& s) {
+    if (r == rank) out = s.histograms[static_cast<std::size_t>(category)];
+  });
+  return out;
 }
 
 LogHistogram Tracer::histogram(TraceCategory category) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   LogHistogram merged;
-  for (const auto& [rank, histograms] : histograms_) {
-    merged.merge(histograms[static_cast<std::size_t>(category)]);
-  }
+  for_each_active_shard([&](int, const Shard& s) {
+    merged.merge(s.histograms[static_cast<std::size_t>(category)]);
+  });
   return merged;
 }
 
 std::map<int, CategoryHistograms> Tracer::all_histograms() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return histograms_;
+  std::map<int, CategoryHistograms> out;
+  for_each_active_shard(
+      [&](int rank, const Shard& s) { out.emplace(rank, s.histograms); });
+  return out;
 }
 
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out = events_;
-  }
+  for_each_active_shard([&](int, const Shard& s) {
+    out.insert(out.end(), s.events.begin(), s.events.end());
+  });
+  // Shards come in rank order and keep record order, so ties on
+  // (rank, start, name) keep their record order.
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      if (a.rank != b.rank) return a.rank < b.rank;
@@ -221,8 +253,10 @@ std::vector<TraceEvent> Tracer::events() const {
 }
 
 std::size_t Tracer::event_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_.size();
+  std::size_t count = 0;
+  for_each_active_shard(
+      [&](int, const Shard& s) { count += s.events.size(); });
+  return count;
 }
 
 namespace {

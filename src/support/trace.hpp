@@ -11,10 +11,11 @@
 //   - TraceCategory: the paper's four buckets plus fault/recovery.
 //   - Tracer: a process-wide, thread-safe span recorder. Per-(rank,
 //     category) call counts, seconds, and span-latency histograms
-//     (support/histogram) are always accumulated (cheap); full span events
-//     are buffered only when capture is enabled, and can be exported as a
-//     Chrome-trace-event JSON file (open in Perfetto or chrome://tracing;
-//     pid = rank, tid = recording thread).
+//     (support/histogram) are always accumulated (cheap: the clock is
+//     lock-free and each rank records into its own shard); full span
+//     events are buffered only when capture is enabled, and can be
+//     exported as a Chrome-trace-event JSON file (open in Perfetto or
+//     chrome://tracing; pid = rank, tid = recording thread).
 //   - TraceScope: RAII span. Safe under exceptions — a collective that
 //     unwinds with RankFailedError still gets its time attributed.
 //   - MetricsRegistry: one named-counter store unifying CommStats,
@@ -32,6 +33,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -125,6 +127,12 @@ struct TraceTotals {
 };
 
 /// Process-wide span recorder. All methods are thread-safe.
+///
+/// The span hot path takes no shared lock: now_seconds() reads an atomic
+/// epoch, and record() adds to the recording rank's shard — totals,
+/// histograms and captured events behind a lock only that rank's threads
+/// (and snapshot readers) take. A shard is created the first time its rank
+/// records, one per distinct rank id.
 class Tracer {
  public:
   static Tracer& instance();
@@ -169,15 +177,19 @@ class Tracer {
   [[nodiscard]] TraceTotals totals(int rank) const;
   [[nodiscard]] TraceTotals totals() const;
 
-  /// Ranks that have recorded at least one span, ascending.
+  /// Ranks that have recorded at least one span since the last clear(),
+  /// ascending.
   [[nodiscard]] std::vector<int> ranks() const;
-  /// Consistent snapshot of every rank's totals (key = rank).
+  /// Every rank's totals (key = rank). Each rank's entry is a consistent
+  /// snapshot; entries of different ranks are read one after another, so
+  /// spans recorded meanwhile may show on some ranks and not others.
   [[nodiscard]] std::map<int, TraceTotals> all_totals() const;
 
   /// Span-latency histogram for one (rank, category) / merged across ranks.
   [[nodiscard]] LogHistogram histogram(int rank, TraceCategory category) const;
   [[nodiscard]] LogHistogram histogram(TraceCategory category) const;
-  /// Consistent snapshot of every rank's histograms (key = rank).
+  /// Every rank's histograms (key = rank); consistent per rank, like
+  /// all_totals().
   [[nodiscard]] std::map<int, CategoryHistograms> all_histograms() const;
 
   /// Buffered events, sorted by (rank, start, name) — per-rank order is
@@ -193,14 +205,32 @@ class Tracer {
   void write_chrome_trace(const std::string& path) const;
 
  private:
+  /// One rank's accounting and captured events. Padded so two ranks'
+  /// shards never share a cache line.
+  struct alignas(64) Shard {
+    std::mutex mutex;
+    bool active = false;  ///< recorded since the last clear()
+    TraceTotals totals;
+    CategoryHistograms histograms;
+    std::vector<TraceEvent> events;  ///< in record order
+  };
+
   Tracer();
 
-  mutable std::mutex mutex_;
+  /// The shard of `rank`, created on first use. Shards live as long as the
+  /// tracer (clear() only empties them), so callers may cache the pointer.
+  Shard& shard(int rank);
+
+  /// Calls fn(rank, shard) with the shard's lock held, for every shard that
+  /// recorded since the last clear(), in ascending rank order.
+  template <typename Fn>
+  void for_each_active_shard(Fn&& fn) const;
+
   std::atomic<bool> capture_events_{false};
-  std::chrono::steady_clock::time_point epoch_;
-  std::vector<TraceEvent> events_;
-  std::map<int, TraceTotals> totals_;
-  std::map<int, CategoryHistograms> histograms_;
+  /// steady_clock ticks of the epoch; atomic so the clock takes no lock.
+  std::atomic<std::chrono::steady_clock::rep> epoch_ticks_;
+  mutable std::mutex shards_mutex_;  // guards the map, not the shards
+  std::map<int, std::unique_ptr<Shard>> shards_;
 };
 
 /// RAII span: attributes the enclosed scope's wall time to (rank,

@@ -1,10 +1,16 @@
 // Tests for the uoi::sim SPMD runtime: collectives against serial
-// references, communicator splits, one-sided windows, and statistics.
+// references, communicator splits, one-sided windows, statistics, and
+// stress of the thread backend's spin-then-park barrier.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <memory>
 #include <numeric>
+#include <random>
+#include <thread>
 
 #include "simcluster/cluster.hpp"
 #include "simcluster/comm.hpp"
@@ -15,6 +21,8 @@ namespace {
 
 using uoi::sim::Cluster;
 using uoi::sim::Comm;
+using uoi::sim::FaultPlan;
+using uoi::sim::RankFailedError;
 using uoi::sim::ReduceOp;
 using uoi::sim::Window;
 
@@ -284,6 +292,200 @@ TEST(Cluster, SingleRankRunsInline) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
+}
+
+// ---- staged reductions reject mismatched lengths on every rank ----
+
+class MismatchParam : public ::testing::TestWithParam<int> {};
+
+TEST_P(MismatchParam, AllreduceLengthMismatchRaisesOnEveryRank) {
+  const int p = GetParam();
+  std::atomic<int> raised{0};
+  Cluster::run(p, [&](Comm& comm) {
+    // The last rank stages a shorter buffer than its peers.
+    std::vector<double> data(comm.rank() == p - 1 ? 2 : 8, 1.0);
+    try {
+      comm.allreduce(data, ReduceOp::kSum);
+    } catch (const uoi::support::DimensionMismatch&) {
+      raised.fetch_add(1);
+    }
+    std::vector<std::uint64_t> counts(comm.rank() == 0 ? 1 : 3, 1);
+    try {
+      comm.allreduce(std::span<std::uint64_t>(counts), ReduceOp::kSum);
+    } catch (const uoi::support::DimensionMismatch&) {
+      raised.fetch_add(1);
+    }
+    // Every rank skipped the closing barrier together, so the
+    // communicator is still in step.
+    double one = 1.0;
+    comm.allreduce(std::span<double>(&one, 1), ReduceOp::kSum);
+    EXPECT_DOUBLE_EQ(one, static_cast<double>(p));
+  });
+  EXPECT_EQ(raised.load(), 2 * p);
+}
+
+TEST_P(MismatchParam, ReduceLengthMismatchRaisesOnEveryRank) {
+  const int p = GetParam();
+  for (int root = 0; root < p; ++root) {
+    std::atomic<int> raised{0};
+    Cluster::run(p, [&](Comm& comm) {
+      // A non-root rank stages a longer buffer, then the root a shorter one.
+      const int odd_rank = (root + 1) % p;
+      std::vector<double> longer(comm.rank() == odd_rank ? 9 : 4, 1.0);
+      try {
+        comm.reduce(longer, ReduceOp::kSum, root);
+      } catch (const uoi::support::DimensionMismatch&) {
+        raised.fetch_add(1);
+      }
+      std::vector<double> shorter(comm.rank() == root ? 1 : 4, 1.0);
+      try {
+        comm.reduce(shorter, ReduceOp::kSum, root);
+      } catch (const uoi::support::DimensionMismatch&) {
+        raised.fetch_add(1);
+      }
+      comm.barrier();
+    });
+    EXPECT_EQ(raised.load(), 2 * p) << "root " << root;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, MismatchParam, ::testing::Values(2, 4));
+
+// ---- barrier stress: spin-then-park under seeded random skew ----
+
+/// Seeded per-rank skew: mostly none, sometimes a busy wait inside the
+/// barrier's spin window, rarely a sleep long enough to make peers park.
+void random_delay(std::mt19937& rng) {
+  const unsigned draw = rng() % 64;
+  if (draw == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  } else if (draw < 8) {
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(rng() % 20);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  }
+}
+
+/// Rank r's contribution to element i of allreduce g; not exactly
+/// representable, so any change in reduction order changes the bits.
+double contribution(int rank, int g, int i) {
+  return 1.0 / static_cast<double>(1 + rank + 3 * g + 7 * i);
+}
+
+/// `steps` back-to-back collectives on `p` ranks — three allreduces, then
+/// one barrier, repeated — each sum checked bitwise against the staged
+/// algorithm's rank-order reduction.
+void barrier_stress(int p, int steps) {
+  constexpr int kWidth = 3;
+  std::atomic<int> mismatches{0};
+  Cluster::run(p, [&](Comm& comm) {
+    std::mt19937 rng(1234u + static_cast<unsigned>(comm.rank()));
+    std::vector<double> data(kWidth);
+    for (int g = 0; g < steps; ++g) {
+      random_delay(rng);
+      if (g % 4 == 3) {
+        comm.barrier();
+        continue;
+      }
+      for (int i = 0; i < kWidth; ++i) {
+        data[static_cast<std::size_t>(i)] = contribution(comm.rank(), g, i);
+      }
+      comm.allreduce(data, ReduceOp::kSum);
+      for (int i = 0; i < kWidth; ++i) {
+        double expected = contribution(0, g, i);
+        for (int r = 1; r < p; ++r) expected += contribution(r, g, i);
+        const double got = data[static_cast<std::size_t>(i)];
+        if (std::memcmp(&got, &expected, sizeof(double)) != 0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(BarrierStress, TenThousandGenerationsFourRanks) {
+  barrier_stress(4, 10000);
+}
+
+TEST(BarrierStress, TenThousandGenerationsSixteenRanksOversubscribed) {
+  barrier_stress(16, 10000);
+}
+
+/// What a rank saw when it raised RankFailedError: the loop step it was at
+/// and the alive set.
+struct RaiseRecord {
+  int step = -1;
+  std::vector<int> alive;
+};
+
+TEST(BarrierStress, KillAtCollectiveNRaisesTogetherOnEverySurvivor) {
+  constexpr int kRanks = 4;
+  constexpr int kVictim = 2;
+  constexpr int kKillAt = 500;
+  auto plan = std::make_shared<FaultPlan>();
+  plan->kills.push_back({kVictim, kKillAt});
+  std::vector<RaiseRecord> records(kRanks);
+  Cluster::run(kRanks, [&](Comm& comm) {
+    comm.set_fault_plan(plan);
+    std::mt19937 rng(99u + static_cast<unsigned>(comm.rank()));
+    int step = 0;
+    try {
+      for (; step < 2 * kKillAt; ++step) {
+        random_delay(rng);
+        double one = 1.0;
+        comm.allreduce(std::span<double>(&one, 1), ReduceOp::kSum);
+      }
+    } catch (const RankFailedError&) {
+      auto& record = records[static_cast<std::size_t>(comm.rank())];
+      record.step = step;
+      record.alive = comm.alive_ranks();
+    }
+  });
+  // The victim unwound with RankKilledError; every survivor raised at the
+  // victim's collective and saw the same failure state.
+  const std::vector<int> survivors{0, 1, 3};
+  for (const int r : survivors) {
+    const auto& record = records[static_cast<std::size_t>(r)];
+    EXPECT_EQ(record.step, kKillAt) << "rank " << r;
+    EXPECT_EQ(record.alive, survivors) << "rank " << r;
+  }
+  EXPECT_EQ(records[kVictim].step, -1);
+}
+
+TEST(BarrierStress, RevokeWhileSpinningRaisesTogetherOnEveryRank) {
+  constexpr int kRanks = 4;
+  constexpr int kRevokeAt = 300;
+  std::vector<RaiseRecord> records(kRanks);
+  Cluster::run(kRanks, [&](Comm& comm) {
+    int step = 0;
+    try {
+      for (; step < 2 * kRevokeAt; ++step) {
+        if (comm.rank() == 0 && step == kRevokeAt) {
+          // Let the peers arrive and start spinning, then revoke; rank 0's
+          // own collective below then raises on entry.
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(10);
+          while (std::chrono::steady_clock::now() < until) {
+          }
+          comm.revoke();
+        }
+        double one = 1.0;
+        comm.allreduce(std::span<double>(&one, 1), ReduceOp::kSum);
+      }
+    } catch (const RankFailedError&) {
+      auto& record = records[static_cast<std::size_t>(comm.rank())];
+      record.step = step;
+      record.alive = comm.alive_ranks();
+    }
+  });
+  const std::vector<int> everyone{0, 1, 2, 3};
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& record = records[static_cast<std::size_t>(r)];
+    EXPECT_EQ(record.step, kRevokeAt) << "rank " << r;
+    EXPECT_EQ(record.alive, everyone) << "rank " << r;
+  }
 }
 
 }  // namespace

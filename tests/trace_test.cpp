@@ -397,6 +397,117 @@ TEST(TraceStress, ConcurrentSpansRebindsAndSnapshots) {
   tracer.clear();
 }
 
+// ---- per-rank shards ----
+// Durations are multiples of 1/8 so every sum below is exact in any order.
+
+TEST(TraceShards, DenseAndSparseRanksKeepSeparateTotals) {
+  auto& tracer = Tracer::instance();
+  tracer.clear();
+  // Recorded sparse id first and dense ids descending: ranks() must sort.
+  const std::vector<int> order{5000, 7, 6, 5, 4, 3, 2, 1, 0};
+  for (const int rank : order) {
+    const int spans = rank == 5000 ? 9 : rank + 1;
+    for (int i = 0; i < spans; ++i) {
+      tracer.record("span", TraceCategory::kCommunication, rank, 0.0, 0.125);
+    }
+  }
+  const std::vector<int> expected{0, 1, 2, 3, 4, 5, 6, 7, 5000};
+  EXPECT_EQ(tracer.ranks(), expected);
+  for (const int rank : expected) {
+    const int spans = rank == 5000 ? 9 : rank + 1;
+    const auto entry = tracer.totals(rank).of(TraceCategory::kCommunication);
+    EXPECT_EQ(entry.calls, static_cast<std::uint64_t>(spans)) << rank;
+    EXPECT_EQ(entry.seconds, 0.125 * spans) << rank;
+    EXPECT_EQ(tracer.histogram(rank, TraceCategory::kCommunication).count(),
+              static_cast<std::uint64_t>(spans))
+        << rank;
+  }
+  // Neighbours of the sparse id stay empty.
+  EXPECT_EQ(tracer.totals(4999).of(TraceCategory::kCommunication).calls, 0u);
+  EXPECT_EQ(tracer.totals(5001).of(TraceCategory::kCommunication).calls, 0u);
+  tracer.clear();
+}
+
+TEST(TraceShards, AggregatesEqualSumsOverRanks) {
+  auto& tracer = Tracer::instance();
+  tracer.clear();
+  for (const int rank : {0, 3, 5000}) {
+    for (int i = 0; i <= rank % 7; ++i) {
+      tracer.record("c", TraceCategory::kComputation, rank, 0.0,
+                    0.25 * (i + 1));
+      tracer.record("m", TraceCategory::kCommunication, rank, 0.0, 0.125);
+    }
+  }
+  TraceTotals summed;
+  for (const auto& [rank, totals] : tracer.all_totals()) summed += totals;
+  const TraceTotals all = tracer.totals();
+  for (const auto category :
+       {TraceCategory::kComputation, TraceCategory::kCommunication}) {
+    EXPECT_EQ(all.of(category).calls, summed.of(category).calls);
+    EXPECT_EQ(all.of(category).seconds, summed.of(category).seconds);
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    for (const int rank : tracer.ranks()) {
+      count += tracer.histogram(rank, category).count();
+      sum += tracer.histogram(rank, category).sum();
+    }
+    EXPECT_EQ(tracer.histogram(category).count(), count);
+    EXPECT_EQ(tracer.histogram(category).sum(), sum);
+    EXPECT_EQ(count, all.of(category).calls);
+  }
+  EXPECT_EQ(all.of(TraceCategory::kComputation).calls, 1u + 4u + 3u);
+  tracer.clear();
+}
+
+TEST(TraceShards, ClearRacingRecordLeavesNoStaleRank) {
+  auto& tracer = Tracer::instance();
+  tracer.clear();
+  tracer.set_capture_events(true);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&tracer, &stop, t] {
+      const int rank = t == 3 ? 5000 : t;
+      while (!stop.load()) {
+        tracer.record("race", TraceCategory::kComputation, rank, 0.0, 0.125);
+      }
+    });
+  }
+  for (int i = 0; i < 200; ++i) {
+    tracer.clear();
+    // A listed rank always has data: clear() never leaves an empty entry.
+    for (const int rank : tracer.ranks()) {
+      EXPECT_GT(tracer.totals(rank).of(TraceCategory::kComputation).calls, 0u)
+          << rank;
+    }
+  }
+  stop.store(true);
+  for (auto& w : workers) w.join();
+  tracer.clear();
+  EXPECT_TRUE(tracer.ranks().empty());
+  EXPECT_EQ(tracer.totals().of(TraceCategory::kComputation).calls, 0u);
+  EXPECT_EQ(tracer.event_count(), 0u);
+  tracer.record("after", TraceCategory::kComputation, 2, 0.0, 0.125);
+  EXPECT_EQ(tracer.ranks(), std::vector<int>{2});
+  EXPECT_EQ(tracer.event_count(), 1u);
+  tracer.set_capture_events(false);
+  tracer.clear();
+}
+
+TEST(TraceShards, OnlyRecordingRanksAppear) {
+  auto& tracer = Tracer::instance();
+  tracer.clear();
+  tracer.record("one", TraceCategory::kDataIo, 2, 0.0, 0.125);
+  // Reads of ranks that never recorded return empty accounting and do not
+  // make those ranks appear.
+  EXPECT_EQ(tracer.totals(9).of(TraceCategory::kDataIo).calls, 0u);
+  EXPECT_EQ(tracer.histogram(123456, TraceCategory::kDataIo).count(), 0u);
+  EXPECT_EQ(tracer.ranks(), std::vector<int>{2});
+  EXPECT_EQ(tracer.all_totals().size(), 1u);
+  EXPECT_EQ(tracer.all_histograms().size(), 1u);
+  tracer.clear();
+}
+
 TEST(Metrics, ClusterRunExportsCommAndSolverCounters) {
   const auto data = small_data();
   const auto options = small_options();

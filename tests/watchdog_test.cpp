@@ -94,6 +94,48 @@ TEST(Watchdog, HangDetectShrinkResumeEightRanks) {
   EXPECT_LT(detect_seconds, 5.0);  // well within the ctest timeout
 }
 
+TEST(Watchdog, HangBehindSpinningPeersIsDetectedAtAboutOneTimeout) {
+  // Hundreds of back-to-back collectives first, so the survivors meet the
+  // hang from the barrier's spin phase; the spin must not delay detection.
+  constexpr int kTimeoutMs = 200;
+  constexpr int kHangAt = 400;
+  auto plan = std::make_shared<FaultPlan>();
+  plan->hangs.push_back({/*rank=*/1, /*at_collective=*/kHangAt});
+  std::vector<double> raise_seconds(4, 0.0);
+  const auto reports = Cluster::run_collect_reports(4, [&](Comm& comm) {
+    comm.set_fault_plan(plan);
+    comm.set_watchdog({kTimeoutMs});
+    int step = 0;
+    auto entered = std::chrono::steady_clock::now();
+    try {
+      for (; step <= kHangAt; ++step) {
+        entered = std::chrono::steady_clock::now();
+        double sum = 1.0;
+        comm.allreduce(std::span<double>(&sum, 1), ReduceOp::kSum);
+      }
+    } catch (const RankFailedError&) {
+      raise_seconds[static_cast<std::size_t>(comm.rank())] =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        entered)
+              .count();
+    }
+    EXPECT_EQ(step, kHangAt);
+  });
+  EXPECT_EQ(total_hangs(reports), 1u);
+  const double timeout = kTimeoutMs / 1000.0;
+  for (const int r : {0, 2, 3}) {
+    const auto& recovery = reports[static_cast<std::size_t>(r)].recovery;
+    if (recovery.hangs_detected == 1) {
+      EXPECT_GE(recovery.detect_seconds, timeout);
+      EXPECT_LT(recovery.detect_seconds, 2.0 * timeout);
+    }
+    EXPECT_GE(raise_seconds[static_cast<std::size_t>(r)], timeout)
+        << "rank " << r;
+    EXPECT_LT(raise_seconds[static_cast<std::size_t>(r)], 3.0 * timeout)
+        << "rank " << r;
+  }
+}
+
 TEST(Watchdog, DisarmedWatchdogIgnoresDeadline) {
   // Without set_watchdog and without $UOI_COMM_TIMEOUT_MS the barrier is
   // the seed's plain wait: a slow rank is simply waited out.
