@@ -1,10 +1,16 @@
 #pragma once
 // Shared helpers for the distributed UoI drivers (internal): the
-// P_B x P_lambda x C layout arithmetic and the local row-block gathering
-// every driver performs when materializing its share of a resample.
+// P_B x P_lambda x C layout arithmetic, the local row-block gathering
+// every driver performs when materializing its share of a resample, and
+// the pipeline hooks the two linear families (lasso, elastic net) share.
 
+#include <functional>
 #include <span>
+#include <utility>
+#include <vector>
 
+#include "core/uoi_lasso.hpp"
+#include "core/uoi_pipeline.hpp"
 #include "linalg/matrix.hpp"
 
 namespace uoi::core::detail {
@@ -44,15 +50,6 @@ struct TaskLayout {
   int c_ranks;     ///< ADMM cores in THIS rank's group
   int task_group;  ///< this rank's group id
   int task_rank;   ///< rank within the group
-  int b_group;     ///< bootstrap-group index (owns k with k % P_B == b)
-  int l_group;     ///< lambda-group index (owns j with j % P_L == l)
-
-  [[nodiscard]] bool owns_bootstrap(std::size_t k, int pb) const {
-    return static_cast<int>(k % static_cast<std::size_t>(pb)) == b_group;
-  }
-  [[nodiscard]] bool owns_lambda(std::size_t j, int pl) const {
-    return static_cast<int>(j % static_cast<std::size_t>(pl)) == l_group;
-  }
 };
 
 /// Remainder-tolerant group split: G = pb * pl contiguous groups; the first
@@ -75,9 +72,41 @@ inline TaskLayout make_task_layout(int rank, int comm_size, int pb, int pl) {
     out.task_group = extra + (rank - wide_span) / base;
     out.task_rank = (rank - wide_span) % base;
   }
-  out.b_group = out.task_group / pl;
-  out.l_group = out.task_group % pl;
   return out;
 }
+
+/// The first `width` entries of each winner row, in bootstrap order.
+inline std::vector<uoi::linalg::Vector> winner_rows(
+    const uoi::linalg::Matrix& winners, std::size_t width) {
+  std::vector<uoi::linalg::Vector> rows;
+  rows.reserve(winners.rows());
+  for (std::size_t k = 0; k < winners.rows(); ++k) {
+    const auto row = winners.row(k);
+    rows.emplace_back(row.begin(),
+                      row.begin() + static_cast<std::ptrdiff_t>(width));
+  }
+  return rows;
+}
+
+/// A row-resampled linear regression problem: lasso when every cell's l2
+/// penalty is zero, elastic net otherwise.
+struct LinearProblem {
+  uoi::linalg::ConstMatrixView x;  ///< full (replicated) design
+  std::span<const double> y;
+  UoiLassoOptions resampling;       ///< seed, B1/B2 and split fractions
+  uoi::solvers::AdmmOptions admm;
+  uoi::solvers::ScreenOptions screen;  ///< mode already resolved
+  EstimationCriterion criterion = EstimationCriterion::kMse;
+  /// (l1, l2) penalty of a grid cell.
+  std::function<std::pair<double, double>(std::size_t cell)> penalties;
+};
+
+/// The pipeline family of a linear problem, hooks and shape filled in:
+/// selection gathers each bootstrap's row block once per cache entry and
+/// runs screened consensus-ADMM chains; estimation refits by distributed
+/// OLS on the candidate support and scores held-out MSE under `criterion`.
+/// The hooks keep a reference to `problem`, which must outlive the run.
+/// The caller sets the name, cell lambdas, cost seed and fingerprint.
+[[nodiscard]] UoiFamily linear_family(const LinearProblem& problem);
 
 }  // namespace uoi::core::detail

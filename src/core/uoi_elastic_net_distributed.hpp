@@ -6,17 +6,20 @@
 // c % P_lambda.
 
 #include "core/uoi_elastic_net.hpp"
-#include "core/uoi_lasso_distributed.hpp"  // UoiParallelLayout, breakdown
+#include "core/uoi_pipeline.hpp"  // UoiParallelLayout, UoiPipelineRecord
 #include "simcluster/comm.hpp"
 
 namespace uoi::core {
 
-struct UoiElasticNetDistributedResult {
+/// The model plus the shared record (breakdown, selection counts over the
+/// flattened cells, quorum record).
+struct UoiElasticNetDistributedResult : UoiPipelineRecord {
   UoiElasticNetResult model;
-  UoiDistributedBreakdown breakdown;
 };
 
 /// Collective over `comm`; data replicated as in the other drivers.
+/// Recovers from rank failures under default UoiRecoveryOptions (one
+/// shrink-and-resume attempt; see UoiPipeline::run).
 /// Matches the serial UoiElasticNet's candidate supports given the same
 /// options (identical resamples; same consensus-vs-serial tolerance
 /// caveats as UoI_LASSO).

@@ -10,64 +10,24 @@
 //             row-block-distributed over them and solved by the distributed
 //             consensus LASSO-ADMM.
 //
-// Reductions (the paper's Reduce steps) map onto collectives:
-//   - selection intersection (eq. 3): supports are encoded as 0/1 indicator
-//     matrices and combined with an elementwise-min Allreduce over the
-//     global communicator (AND == min over {0,1}; ranks contribute the
-//     neutral element 1 for (k, j) pairs they did not compute);
-//   - estimation: per-(bootstrap, support) evaluation losses are min-reduced
-//     globally, every rank then knows each bootstrap's winner, and the
-//     winning OLS estimates are sum-reduced and averaged (eq. 4's union).
+// The passes, the Reduce steps (count Allreduce + intersection threshold,
+// loss Allreduce-min, winner Allreduce-sum) and recovery are the shared
+// core::UoiPipeline; this driver supplies the lasso hooks (screened
+// consensus chains in selection, consensus OLS refits in estimation).
 //
 // Given the same options/seed, the result matches the serial UoiLasso up to
 // solver tolerance (identical resamples by construction).
 
-#include <utility>
-#include <vector>
-
 #include "core/uoi_lasso.hpp"
+#include "core/uoi_pipeline.hpp"  // UoiParallelLayout, UoiPipelineRecord
 #include "simcluster/comm.hpp"
 
 namespace uoi::core {
 
-/// How the ranks of a communicator are arranged (paper Fig. 3's
-/// "P_B x P_lambda" configurations). C is derived: comm.size() / (pb * pl).
-struct UoiParallelLayout {
-  int bootstrap_groups = 1;  ///< P_B
-  int lambda_groups = 1;     ///< P_lambda
-};
-
-/// Per-rank timing breakdown, mirroring the paper's runtime buckets.
-/// Derived from the process-wide Tracer: communication / distribution /
-/// data-I/O / Gram-setup are the rank's span totals over the phase,
-/// computation is the wall-time remainder (clamped at zero), so the
-/// buckets sum to the phase wall time.
-struct UoiDistributedBreakdown {
-  double computation_seconds = 0.0;
-  double communication_seconds = 0.0;  ///< collectives (Allreduce-dominated)
-  double distribution_seconds = 0.0;   ///< data movement into task groups
-  double data_io_seconds = 0.0;        ///< dataset reads/writes (uoi::io)
-  double gram_seconds = 0.0;  ///< Gram + Cholesky setup (solver-cache misses)
-};
-
-struct UoiLassoDistributedResult {
-  UoiLassoResult model;                 ///< same contents as the serial result
-  UoiDistributedBreakdown breakdown;    ///< this rank's timing
-  /// Final merged q x p selection-count matrix (bootstraps that selected
-  /// feature i at lambda_j). Replicated; exposed so fault-injection tests
-  /// can assert bit-identical counts against a fault-free run.
-  uoi::linalg::Matrix selection_counts;
-  /// Quorum-degraded completion record (see UoiRecoveryOptions::
-  /// min_bootstrap_quorum). When `degraded` is set, the run exhausted its
-  /// recovery budget during selection and finished on a partial bootstrap
-  /// set: `achieved_quorum` is the smallest per-lambda completed fraction,
-  /// and `lost_cells` lists the abandoned (bootstrap, lambda) pairs whose
-  /// selection counts are missing from `selection_counts`. Candidate
-  /// supports were thresholded against the achieved per-lambda denominator
-  /// instead of B1.
-  bool degraded = false;
-  double achieved_quorum = 1.0;
-  std::vector<std::pair<std::size_t, std::size_t>> lost_cells;
+/// The model plus the shared record: breakdown, replicated selection
+/// counts (q x p) and the quorum-degraded completion record.
+struct UoiLassoDistributedResult : UoiPipelineRecord {
+  UoiLassoResult model;  ///< same contents as the serial result
 };
 
 /// Runs distributed UoI_LASSO. Collective: every rank of `comm` must call it
@@ -76,17 +36,9 @@ struct UoiLassoDistributedResult {
 /// own row blocks of each bootstrap sample (in the paper the randomized
 /// HDF5 distribution delivers those blocks; see uoi::io for that path).
 ///
-/// Fault tolerance (options.recovery): when a rank dies mid-run, survivors
-/// detect the failure at their next synchronization point, shrink the
-/// communicator, merge every survivor's accumulated selection counts, and
-/// resume — recomputing only the (bootstrap, lambda) cells the dead rank's
-/// group had not committed. Warm-start chains are committed atomically per
-/// (bootstrap, lambda-group), so recomputed cells replay the exact ADMM
-/// trajectories of a fault-free run and the final selection counts are
-/// bit-identical. With `recovery.checkpoint_path` set, merged selection
-/// progress also persists to disk (atomic, fsync'd) and a compatible
-/// checkpoint is resumed on startup. After `max_recovery_attempts`
-/// failures the RankFailedError propagates to the caller.
+/// Fault tolerance follows options.recovery (shrink-and-resume with
+/// bit-identical selection counts, checkpoint/restart, bootstrap quorum);
+/// see UoiPipeline::run.
 [[nodiscard]] UoiLassoDistributedResult uoi_lasso_distributed(
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView x,
     std::span<const double> y, const UoiLassoOptions& options = {},

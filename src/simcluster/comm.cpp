@@ -49,7 +49,7 @@ std::span<const T> stage_view(const std::vector<std::uint8_t>& slot) {
   return {reinterpret_cast<const T*>(slot.data()), slot.size() / sizeof(T)};
 }
 
-/// Size check of a reduction: true when every rank staged `count`
+/// Size check of a staged collective: true when every rank staged `count`
 /// elements. Every rank runs it over every slot between the two barriers
 /// and raises after the closing one, so a mismatch raises on all ranks
 /// together: no rank reads past a short slot, none waits alone at the
@@ -686,18 +686,23 @@ void Comm::gather(std::span<const double> send, std::span<double> recv,
   support::Stopwatch watch;
   stage_copy_in<double>(context_->staging(rank_), send);
   sync();
-  if (rank_ == root) {
-    UOI_CHECK_DIMS(recv.size() == send.size() * static_cast<std::size_t>(size()),
-                   "gather recv buffer has the wrong size");
+  // Contribution sizes are checked on every rank (all raise together);
+  // the root's own buffer size only the root can check.
+  const bool sizes_match = stage_sizes_match<double>(*context_, send.size());
+  const bool recv_ok =
+      rank_ != root ||
+      recv.size() == send.size() * static_cast<std::size_t>(size());
+  if (sizes_match && recv_ok && rank_ == root) {
     for (int r = 0; r < size(); ++r) {
       const auto view = stage_view<double>(context_->staging_view(r));
-      UOI_CHECK_DIMS(view.size() == send.size(), "gather contribution size");
       std::copy(view.begin(), view.end(),
                 recv.begin() + static_cast<std::ptrdiff_t>(
                                    static_cast<std::size_t>(r) * send.size()));
     }
   }
   sync();
+  UOI_CHECK_DIMS(sizes_match, "gather contribution size mismatch");
+  UOI_CHECK_DIMS(recv_ok, "gather recv buffer has the wrong size");
   auto& entry = stats_.of(CommCategory::kGather);
   ++entry.calls;
   entry.bytes += send.size_bytes();
@@ -707,21 +712,25 @@ void Comm::gather(std::span<const double> send, std::span<double> recv,
 
 template <typename T>
 void Comm::allgather_impl(std::span<const T> send, std::span<T> recv) {
-  UOI_CHECK_DIMS(recv.size() == send.size() * static_cast<std::size_t>(size()),
-                 "allgather recv buffer has the wrong size");
   maybe_kill();
   CommTraceScope span(*this, CommCategory::kAllgather);
   support::Stopwatch watch;
   stage_copy_in<T>(context_->staging(rank_), send);
   sync();
-  for (int r = 0; r < size(); ++r) {
-    const auto view = stage_view<T>(context_->staging_view(r));
-    UOI_CHECK_DIMS(view.size() == send.size(), "allgather contribution size");
-    std::copy(view.begin(), view.end(),
-              recv.begin() + static_cast<std::ptrdiff_t>(
-                                 static_cast<std::size_t>(r) * send.size()));
+  const bool sizes_match = stage_sizes_match<T>(*context_, send.size());
+  const bool recv_ok =
+      recv.size() == send.size() * static_cast<std::size_t>(size());
+  if (sizes_match && recv_ok) {
+    for (int r = 0; r < size(); ++r) {
+      const auto view = stage_view<T>(context_->staging_view(r));
+      std::copy(view.begin(), view.end(),
+                recv.begin() + static_cast<std::ptrdiff_t>(
+                                   static_cast<std::size_t>(r) * send.size()));
+    }
   }
   sync();
+  UOI_CHECK_DIMS(sizes_match, "allgather contribution size mismatch");
+  UOI_CHECK_DIMS(recv_ok, "allgather recv buffer has the wrong size");
   auto& entry = stats_.of(CommCategory::kAllgather);
   ++entry.calls;
   entry.bytes += send.size_bytes() * static_cast<std::size_t>(size());
@@ -767,16 +776,14 @@ void Comm::scatter(std::span<const double> send, std::span<double> recv,
   maybe_kill();
   CommTraceScope span(*this, CommCategory::kScatter);
   support::Stopwatch watch;
-  if (rank_ == root) {
-    UOI_CHECK_DIMS(send.size() == recv.size() * static_cast<std::size_t>(size()),
-                   "scatter send buffer has the wrong size");
-    stage_copy_in<double>(context_->staging(root), send);
-  }
+  // The root stages whatever it was given, so a wrong send size is seen
+  // (and raised) by every rank rather than by the root alone.
+  if (rank_ == root) stage_copy_in<double>(context_->staging(root), send);
   sync();
-  {
-    const auto view = stage_view<double>(context_->staging_view(root));
-    UOI_CHECK_DIMS(view.size() == recv.size() * static_cast<std::size_t>(size()),
-                   "scatter staged size mismatch");
+  const auto view = stage_view<double>(context_->staging_view(root));
+  const bool sizes_match =
+      view.size() == recv.size() * static_cast<std::size_t>(size());
+  if (sizes_match) {
     const auto begin =
         view.begin() + static_cast<std::ptrdiff_t>(
                            static_cast<std::size_t>(rank_) * recv.size());
@@ -784,6 +791,7 @@ void Comm::scatter(std::span<const double> send, std::span<double> recv,
               recv.begin());
   }
   sync();
+  UOI_CHECK_DIMS(sizes_match, "scatter send/recv size mismatch");
   auto& entry = stats_.of(CommCategory::kScatter);
   ++entry.calls;
   entry.bytes += recv.size_bytes();

@@ -207,10 +207,14 @@ class Comm {
   [[nodiscard]] bool all_agree(bool local);
 
   /// Gathers equal-size contributions to root: recv has size() * n elements
-  /// on root (ignored elsewhere).
+  /// on root (ignored elsewhere). Unequal contributions raise
+  /// DimensionMismatch on every rank, a wrong recv size on the root only;
+  /// either way after the closing barrier, so no peer is left waiting.
   void gather(std::span<const double> send, std::span<double> recv, int root);
 
-  /// Gathers equal-size contributions to every rank.
+  /// Gathers equal-size contributions to every rank. Size mismatches raise
+  /// as in gather(): unequal contributions on every rank, a wrong recv size
+  /// on the rank that passed it.
   void allgather(std::span<const double> send, std::span<double> recv);
   void allgather(std::span<const std::size_t> send, std::span<std::size_t> recv);
 
@@ -222,7 +226,8 @@ class Comm {
       std::vector<std::size_t>* counts = nullptr);
 
   /// Scatters equal-size slices from root's send buffer (size() * n) into
-  /// each rank's recv buffer (n).
+  /// each rank's recv buffer (n). A root send buffer of the wrong size
+  /// raises DimensionMismatch on every rank after the closing barrier.
   void scatter(std::span<const double> send, std::span<double> recv, int root);
 
   /// Splits into sub-communicators: ranks sharing `color` form a group,

@@ -48,6 +48,42 @@ struct DistributedAdmmResult {
   std::size_t rho_updates = 0;         ///< residual-balancing rescales applied
 };
 
+/// The additive counters of a run of solves; `+=` folds one solve's result
+/// in (results without a FLOP count leave local_flops alone).
+struct AdmmTally {
+  std::uint64_t iterations = 0;
+  std::uint64_t local_flops = 0;
+  std::uint64_t allreduce_calls = 0;
+  std::uint64_t allreduce_bytes = 0;
+  std::uint64_t consensus_rounds = 0;
+  std::uint64_t lazy_iterations = 0;
+  std::uint64_t rho_updates = 0;
+
+  template <class Fit>
+  AdmmTally& operator+=(const Fit& fit) {
+    iterations += fit.iterations;
+    if constexpr (requires { fit.local_flops; }) local_flops += fit.local_flops;
+    allreduce_calls += fit.allreduce_calls;
+    allreduce_bytes += fit.allreduce_bytes;
+    consensus_rounds += fit.consensus_rounds;
+    lazy_iterations += fit.lazy_iterations;
+    rho_updates += fit.rho_updates;
+    return *this;
+  }
+
+  /// Overwrites `fit`'s additive counters with these totals (a chain that
+  /// reports several solves as one result).
+  void store(DistributedAdmmResult& fit) const {
+    fit.iterations = iterations;
+    fit.local_flops = local_flops;
+    fit.allreduce_calls = allreduce_calls;
+    fit.allreduce_bytes = allreduce_bytes;
+    fit.consensus_rounds = consensus_rounds;
+    fit.lazy_iterations = lazy_iterations;
+    fit.rho_updates = rho_updates;
+  }
+};
+
 /// Factorization-caching distributed solver; `local_a`/`local_b` are this
 /// rank's row block. All ranks must construct and call it collectively.
 class DistributedLassoAdmmSolver {

@@ -386,17 +386,7 @@ DistributedAdmmResult DistributedScreenedLassoChain::solve(double lambda1,
   Matrix aw;
   Vector c(p, 0.0);
   bool have_c = false;
-  DistributedAdmmResult totals;  // additive counters only
-
-  const auto accumulate = [&](const DistributedAdmmResult& fit) {
-    totals.iterations += fit.iterations;
-    totals.local_flops += fit.local_flops;
-    totals.allreduce_calls += fit.allreduce_calls;
-    totals.allreduce_bytes += fit.allreduce_bytes;
-    totals.consensus_rounds += fit.consensus_rounds;
-    totals.lazy_iterations += fit.lazy_iterations;
-    totals.rho_updates += fit.rho_updates;
-  };
+  AdmmTally totals;
 
   for (std::size_t round = 0;; ++round) {
     if (mode_ == ScreenMode::kOff) {
@@ -420,7 +410,7 @@ DistributedAdmmResult DistributedScreenedLassoChain::solve(double lambda1,
       ws.beta = detail::gather_vector(state_.beta_prev, working);
       work = sub.solve_elastic_net(lambda1, lambda2, &ws);
     }
-    accumulate(work);
+    totals += work;
     if (mode_ == ScreenMode::kOff) break;
 
     // KKT check: c = sum_ranks A_i'(b_i - A_{i,W} z_W), one p-length
@@ -485,19 +475,13 @@ DistributedAdmmResult DistributedScreenedLassoChain::solve(double lambda1,
       DistributedAdmmResult ws;
       ws.beta = detail::gather_vector(state_.beta_prev, support);
       final_result = sub.solve_elastic_net(lambda1, lambda2, &ws);
-      accumulate(final_result);
+      totals += final_result;
       Vector full(p, 0.0);
       uoi::linalg::scatter_expand(final_result.beta, support, full);
       final_result.beta = std::move(full);
     }
   }
-  final_result.iterations = totals.iterations;
-  final_result.local_flops = totals.local_flops;
-  final_result.allreduce_calls = totals.allreduce_calls;
-  final_result.allreduce_bytes = totals.allreduce_bytes;
-  final_result.consensus_rounds = totals.consensus_rounds;
-  final_result.lazy_iterations = totals.lazy_iterations;
-  final_result.rho_updates = totals.rho_updates;
+  totals.store(final_result);
 
   state_.has_prev = true;
   state_.lambda_prev = lambda1;

@@ -396,8 +396,11 @@ void SocketRuntime::flush_peer_output(int peer) {
       front = &p.outbound.front();
       offset = p.front_offset;
     }
-    const ssize_t n =
-        ::write(p.fd, front->data() + offset, front->size() - offset);
+    // MSG_NOSIGNAL: a peer that died since the last poll must surface as
+    // EPIPE (a closed connection) here, not as a SIGPIPE that kills this
+    // process too.
+    const ssize_t n = ::send(p.fd, front->data() + offset,
+                             front->size() - offset, MSG_NOSIGNAL);
     if (n > 0) {
       std::lock_guard<std::mutex> lock(out_mutex_);
       p.front_offset += static_cast<std::size_t>(n);

@@ -17,7 +17,7 @@
 // matrix is block diagonal, so the consensus-ADMM x-update factorizes into
 // at most ceil(rows-per-rank / (N-d)) + 1 small dp x dp systems.
 
-#include "core/uoi_lasso_distributed.hpp"  // UoiParallelLayout, breakdown
+#include "core/uoi_lasso_distributed.hpp"  // UoiParallelLayout, record
 #include "simcluster/comm.hpp"
 #include "simcluster/window.hpp"
 #include "solvers/distributed_admm.hpp"
@@ -109,25 +109,17 @@ class DistributedVarAdmmSolver {
   mutable std::uint64_t pending_setup_flops_ = 0;
 };
 
-struct UoiVarDistributedResult {
+/// The model plus the shared record: breakdown, replicated selection
+/// counts (q x d p^2) and the quorum-degraded completion record.
+struct UoiVarDistributedResult : uoi::core::UoiPipelineRecord {
   UoiVarResult model;
-  uoi::core::UoiDistributedBreakdown breakdown;
-  /// Final merged q x (d p^2) selection-count matrix (replicated);
-  /// exposed so fault-injection tests can assert bit-identical counts
-  /// against a fault-free run.
-  uoi::linalg::Matrix selection_counts;
-  /// Quorum-degraded completion record; same semantics as
-  /// UoiLassoDistributedResult (see UoiRecoveryOptions::
-  /// min_bootstrap_quorum).
-  bool degraded = false;
-  double achieved_quorum = 1.0;
-  std::vector<std::pair<std::size_t, std::size_t>> lost_cells;
 };
 
 /// Distributed UoI_VAR driver. Collective over `comm`; the full series is
 /// replicated (reader ranks use it to stand in for the HDF5 file, compute
 /// ranks only touch it through windows and for the estimation resamples).
-/// Layout works as in uoi_lasso_distributed: P = P_B x P_lambda x C.
+/// Layout and fault tolerance work as in uoi_lasso_distributed:
+/// P = P_B x P_lambda x C, recovery per options.recovery.
 [[nodiscard]] UoiVarDistributedResult uoi_var_distributed(
     uoi::sim::Comm& comm, uoi::linalg::ConstMatrixView series,
     const UoiVarOptions& options = {},

@@ -349,6 +349,104 @@ TEST_P(MismatchParam, ReduceLengthMismatchRaisesOnEveryRank) {
   }
 }
 
+TEST_P(MismatchParam, GatherLengthMismatchRaisesWithoutHanging) {
+  const int p = GetParam();
+  for (int root = 0; root < p; ++root) {
+    std::atomic<int> raised{0};
+    std::atomic<int> root_raised{0};
+    Cluster::run(p, [&](Comm& comm) {
+      // A non-root rank contributes one element too many: every rank sees
+      // the staged sizes and raises.
+      const int odd_rank = (root + 1) % p;
+      const std::vector<double> send(comm.rank() == odd_rank ? 4 : 3, 1.0);
+      std::vector<double> recv(3 * static_cast<std::size_t>(p));
+      try {
+        comm.gather(send, recv, root);
+      } catch (const uoi::support::DimensionMismatch&) {
+        raised.fetch_add(1);
+      }
+      // A root recv buffer of the wrong size only the root can see; it
+      // raises after the closing barrier, its peers return normally.
+      const std::vector<double> even(3, 1.0);
+      std::vector<double> short_recv(comm.rank() == root ? 2 : 0);
+      try {
+        comm.gather(even, short_recv, root);
+      } catch (const uoi::support::DimensionMismatch&) {
+        root_raised.fetch_add(comm.rank() == root ? 1 : 100);
+      }
+      double one = 1.0;
+      comm.allreduce(std::span<double>(&one, 1), ReduceOp::kSum);
+      EXPECT_DOUBLE_EQ(one, static_cast<double>(p));
+    });
+    EXPECT_EQ(raised.load(), p) << "root " << root;
+    EXPECT_EQ(root_raised.load(), 1) << "root " << root;
+  }
+}
+
+TEST_P(MismatchParam, AllgatherLengthMismatchRaisesWithoutHanging) {
+  const int p = GetParam();
+  std::atomic<int> raised{0};
+  std::atomic<int> recv_raised{0};
+  Cluster::run(p, [&](Comm& comm) {
+    const auto ranks = static_cast<std::size_t>(p);
+    // The last rank contributes fewer elements (its own recv buffer is
+    // consistent with that): every rank raises.
+    const std::size_t n = comm.rank() == p - 1 ? 2 : 5;
+    const std::vector<double> send(n, 1.0);
+    std::vector<double> recv(n * ranks);
+    try {
+      comm.allgather(send, recv);
+    } catch (const uoi::support::DimensionMismatch&) {
+      raised.fetch_add(1);
+    }
+    const std::vector<std::size_t> counts(comm.rank() == 0 ? 1 : 2, 7);
+    std::vector<std::size_t> all(counts.size() * ranks);
+    try {
+      comm.allgather(std::span<const std::size_t>(counts),
+                     std::span<std::size_t>(all));
+    } catch (const uoi::support::DimensionMismatch&) {
+      raised.fetch_add(1);
+    }
+    // Rank 0 alone passes a short recv buffer. It used to raise before the
+    // first barrier and leave its peers waiting; now it raises after the
+    // closing one.
+    const std::vector<double> even(3, 1.0);
+    std::vector<double> out(comm.rank() == 0 ? 1 : 3 * ranks);
+    try {
+      comm.allgather(even, out);
+    } catch (const uoi::support::DimensionMismatch&) {
+      recv_raised.fetch_add(comm.rank() == 0 ? 1 : 100);
+    }
+    double one = 1.0;
+    comm.allreduce(std::span<double>(&one, 1), ReduceOp::kSum);
+    EXPECT_DOUBLE_EQ(one, static_cast<double>(p));
+  });
+  EXPECT_EQ(raised.load(), 2 * p);
+  EXPECT_EQ(recv_raised.load(), 1);
+}
+
+TEST_P(MismatchParam, ScatterLengthMismatchRaisesOnEveryRank) {
+  const int p = GetParam();
+  for (int root = 0; root < p; ++root) {
+    std::atomic<int> raised{0};
+    Cluster::run(p, [&](Comm& comm) {
+      // Only the root's send buffer is wrong; it used to raise before the
+      // first barrier on the root alone.
+      const std::size_t n = 3;
+      std::vector<double> send(
+          comm.rank() == root ? n * static_cast<std::size_t>(p) - 1 : 0, 1.0);
+      std::vector<double> recv(n);
+      try {
+        comm.scatter(send, recv, root);
+      } catch (const uoi::support::DimensionMismatch&) {
+        raised.fetch_add(1);
+      }
+      comm.barrier();
+    });
+    EXPECT_EQ(raised.load(), p) << "root " << root;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RankCounts, MismatchParam, ::testing::Values(2, 4));
 
 // ---- barrier stress: spin-then-park under seeded random skew ----

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -90,10 +93,22 @@ std::optional<std::vector<std::uint8_t>> run_forked_job(
   ::close(result_pipe[1]);
 
   // Drain rank 0's result first: the pipe has finite capacity, so waiting
-  // for exits before reading could deadlock on a large payload.
+  // for exits before reading could deadlock on a large payload. The read
+  // polls against the job deadline, so a hung job cannot block it forever.
+  const time_t deadline = ::time(nullptr) + timeout_seconds;
+  bool ok = true;
   std::vector<std::uint8_t> result;
   std::uint8_t chunk[4096];
   for (;;) {
+    const time_t left = deadline - ::time(nullptr);
+    if (left < 0) {
+      ok = false;
+      break;
+    }
+    pollfd pfd{result_pipe[0], POLLIN, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left) * 1000 + 1000);
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready == 0) continue;  // timed out: re-check the deadline
     const ssize_t r = ::read(result_pipe[0], chunk, sizeof(chunk));
     if (r > 0) {
       result.insert(result.end(), chunk, chunk + r);
@@ -103,9 +118,13 @@ std::optional<std::vector<std::uint8_t>> run_forked_job(
     break;
   }
   ::close(result_pipe[0]);
+  if (!ok) {
+    std::fprintf(stderr,
+                 "run_forked_job: no result within %d s; killing the job\n",
+                 timeout_seconds);
+    for (const pid_t pid : children) ::kill(pid, SIGKILL);
+  }
 
-  bool ok = true;
-  const time_t deadline = ::time(nullptr) + timeout_seconds;
   for (std::size_t i = 0; i < children.size(); ++i) {
     int status = 0;
     for (;;) {
@@ -121,8 +140,18 @@ std::optional<std::vector<std::uint8_t>> run_forked_job(
     }
     const bool killed = WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL;
     const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (!clean && !killed) ok = false;
-    if (i == 0 && !clean) ok = false;  // rank 0 must survive and succeed
+    if ((!clean && !killed) || (i == 0 && !clean)) {
+      // Rank 0 must survive and succeed; other ranks may only die by the
+      // planned SIGKILL.
+      ok = false;
+      if (WIFSIGNALED(status)) {
+        std::fprintf(stderr, "run_forked_job: rank %zu died on signal %d\n",
+                     i, WTERMSIG(status));
+      } else if (WIFEXITED(status)) {
+        std::fprintf(stderr, "run_forked_job: rank %zu exited with %d\n", i,
+                     WEXITSTATUS(status));
+      }
+    }
   }
 
   // Best-effort rendezvous-dir cleanup (the job unlinks its sockets; a
