@@ -1,20 +1,14 @@
 // Ablation — ADMM engineering choices DESIGN.md calls out:
 //   (1) residual-balancing adaptive rho vs a fixed penalty,
-//   (2) blocking vs pipelined (nonblocking) convergence checks — the
-//       paper's §IV-A4 future-work direction,
-//   (3) warm starts along the lambda path vs cold starts.
-// Each is measured functionally (iteration/Allreduce counts on the
-// simulated cluster) and projected to paper scale through the collective
-// model (fewer blocking collectives x modeled Allreduce time).
+//   (2) warm starts along the lambda path vs cold starts.
+// Each is measured functionally (iteration counts of the serial solver).
+// The distributed loop's reduction modes (unfused, fused, k-step lazy
+// consensus) are compared in bench_fig6_lasso_strong.
 
 #include <cstdio>
 
 #include "data/synthetic_regression.hpp"
-#include "perfmodel/collectives.hpp"
-#include "perfmodel/machine.hpp"
-#include "simcluster/cluster.hpp"
 #include "solvers/admm_lasso.hpp"
-#include "solvers/distributed_admm.hpp"
 #include "solvers/lambda_grid.hpp"
 #include "support/format.hpp"
 #include "support/table.hpp"
@@ -51,45 +45,8 @@ int main() {
   }
   std::printf("%s\n", rho_table.to_text().c_str());
 
-  // ---- (2) blocking vs pipelined convergence check ----
-  std::printf("-- (2) blocking vs pipelined stopping test (8 ranks) --\n\n");
-  uoi::support::Table pipe_table({"stopping test", "iterations",
-                                  "blocking collectives/iter",
-                                  "modeled comm @ 34,816 cores"});
-  const auto machine = uoi::perf::knl_profile();
-  for (const bool pipelined : {false, true}) {
-    uoi::solvers::AdmmOptions options;
-    options.pipelined_convergence_check = pipelined;
-    std::size_t iterations = 0;
-    uoi::sim::Cluster::run(8, [&](uoi::sim::Comm& comm) {
-      const std::size_t n = data.x.rows();
-      const std::size_t begin = n * comm.rank() / comm.size();
-      const std::size_t end = n * (comm.rank() + 1) / comm.size();
-      const auto fit = uoi::solvers::distributed_lasso_admm(
-          comm, data.x.row_block(begin, end - begin),
-          std::span<const double>(data.y).subspan(begin, end - begin),
-          0.05 * lambda_hi, options);
-      if (comm.rank() == 0) iterations = fit.iterations;
-    });
-    // Blocking collectives per iteration: consensus (always) + residual
-    // test (only when not pipelined).
-    const double per_iter =
-        uoi::perf::allreduce_time(machine, 34816,
-                                  spec.n_features * sizeof(double)) +
-        (pipelined ? 0.0
-                   : uoi::perf::allreduce_time(machine, 34816,
-                                               3 * sizeof(double)));
-    pipe_table.add_row(
-        {pipelined ? "pipelined (1-iter stale)" : "blocking",
-         uoi::support::format_count(iterations),
-         pipelined ? "1" : "2",
-         uoi::support::format_seconds(per_iter *
-                                      static_cast<double>(iterations))});
-  }
-  std::printf("%s\n", pipe_table.to_text().c_str());
-
-  // ---- (3) warm vs cold starts along the lambda path ----
-  std::printf("-- (3) warm vs cold starts along an 8-lambda path --\n\n");
+  // ---- (2) warm vs cold starts along the lambda path ----
+  std::printf("-- (2) warm vs cold starts along an 8-lambda path --\n\n");
   uoi::support::Table warm_table({"start policy", "total iterations"});
   {
     const uoi::solvers::LassoAdmmSolver solver(data.x, data.y);
@@ -109,7 +66,7 @@ int main() {
   }
   std::printf("%s\n", warm_table.to_text().c_str());
   std::printf(
-      "The production configuration (adaptive rho + warm starts, with the\n"
-      "pipelined check available for large-scale runs) is the default.\n");
+      "The production configuration (adaptive rho + warm starts) is the\n"
+      "default.\n");
   return 0;
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "support/error.hpp"
@@ -31,13 +33,52 @@ Header make_header(const DatasetInfo& info) {
 }
 
 DatasetInfo parse_header(const Header& h, const std::string& path) {
+  const auto corrupt = [&path](const char* what) {
+    return uoi::support::IoError(path + ": corrupt H5-lite header (" + what +
+                                 ")");
+  };
   if (h.magic != kMagic) {
     throw uoi::support::IoError(path + ": not an H5-lite dataset");
   }
   if (h.version != kVersion) {
     throw uoi::support::IoError(path + ": unsupported H5-lite version");
   }
+  if (h.chunk_rows == 0) throw corrupt("zero chunk_rows");
+  if (h.n_stripes == 0) throw corrupt("zero n_stripes");
+  constexpr std::uint64_t kMaxPayload =
+      std::numeric_limits<std::uint64_t>::max() - sizeof(Header);
+  if (h.cols != 0 && h.rows > kMaxPayload / sizeof(double) / h.cols) {
+    throw corrupt("rows x cols x 8 overflows");
+  }
   return {h.rows, h.cols, h.chunk_rows, h.n_stripes};
+}
+
+// Payload bytes of stripe 0: every chunk c with c % n_stripes == 0. Stripe
+// 0 holds at least as many bytes as any other stripe, so a stripe 0 this
+// long bounds every allocation and chunk offset the reader derives from
+// the header.
+std::uint64_t stripe0_payload_bytes(const DatasetInfo& info) {
+  const std::uint64_t full_chunks = info.rows / info.chunk_rows;
+  const std::uint64_t tail_rows = info.rows % info.chunk_rows;
+  std::uint64_t rows =
+      full_chunks == 0
+          ? 0
+          : ((full_chunks - 1) / info.n_stripes + 1) * info.chunk_rows;
+  if (tail_rows != 0 && full_chunks % info.n_stripes == 0) rows += tail_rows;
+  return rows * info.cols * sizeof(double);
+}
+
+// Raises IoError when stripe 0 is shorter than the header says. Runs
+// before every read, ahead of any allocation sized from the header.
+void check_stripe0_extent(const std::string& base, const DatasetInfo& info) {
+  std::error_code ec;
+  const std::uint64_t size =
+      std::filesystem::file_size(stripe_path(base, 0), ec);
+  if (ec || size < sizeof(Header) + stripe0_payload_bytes(info)) {
+    throw uoi::support::IoError(
+        base + ": corrupt H5-lite dataset (stripe 0 is shorter than its "
+               "header says)");
+  }
 }
 
 }  // namespace
@@ -133,6 +174,7 @@ void DatasetReader::read_chunk(std::uint64_t chunk,
                                uoi::linalg::Matrix& out) const {
   uoi::support::TraceScope span("h5lite-read-chunk",
                                 uoi::support::TraceCategory::kDataIo);
+  check_stripe0_extent(base_, info_);
   std::ifstream f(stripe_path(base_, chunk % info_.n_stripes),
                   std::ios::binary);
   if (!f) throw uoi::support::IoError("cannot open stripe for " + base_);
@@ -152,24 +194,29 @@ void DatasetReader::read_rows(std::uint64_t row_begin, std::uint64_t n_rows,
   uoi::support::TraceScope span("h5lite-read-rows",
                                 uoi::support::TraceCategory::kDataIo);
   UOI_CHECK(row_begin + n_rows <= info_.rows, "hyperslab out of range");
+  check_stripe0_extent(base_, info_);
   out.resize(n_rows, info_.cols);
   if (n_rows == 0) return;
 
   // Open each needed stripe once; copy the overlapping part of each chunk.
-  std::vector<std::unique_ptr<std::ifstream>> stripes(info_.n_stripes);
+  // Slot (c - first_chunk) % n_slots maps one-to-one onto the stripes the
+  // hyperslab touches, so the header's stripe count never sizes this.
   uoi::linalg::Matrix chunk_data;
   const std::uint64_t first_chunk = row_begin / info_.chunk_rows;
   const std::uint64_t last_chunk = (row_begin + n_rows - 1) / info_.chunk_rows;
+  const std::uint64_t n_slots =
+      std::min(info_.n_stripes, last_chunk - first_chunk + 1);
+  std::vector<std::unique_ptr<std::ifstream>> stripes(n_slots);
   for (std::uint64_t c = first_chunk; c <= last_chunk; ++c) {
-    const std::uint64_t stripe = c % info_.n_stripes;
-    if (!stripes[stripe]) {
-      stripes[stripe] = std::make_unique<std::ifstream>(
-          stripe_path(base_, stripe), std::ios::binary);
-      if (!*stripes[stripe]) {
+    auto& file = stripes[(c - first_chunk) % n_slots];
+    if (!file) {
+      file = std::make_unique<std::ifstream>(
+          stripe_path(base_, c % info_.n_stripes), std::ios::binary);
+      if (!*file) {
         throw uoi::support::IoError("cannot open stripe for " + base_);
       }
     }
-    read_chunk_from(*stripes[stripe], c, chunk_data);
+    read_chunk_from(*file, c, chunk_data);
     const std::uint64_t chunk_begin = c * info_.chunk_rows;
     const std::uint64_t copy_begin = std::max(chunk_begin, row_begin);
     const std::uint64_t copy_end =

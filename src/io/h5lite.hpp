@@ -42,7 +42,9 @@ struct DatasetInfo {
 void write_dataset(const std::string& base, uoi::linalg::ConstMatrixView data,
                    std::uint64_t chunk_rows, std::uint64_t n_stripes = 1);
 
-/// Reads only the header of stripe 0.
+/// Reads and validates the header of stripe 0. Raises IoError when it is
+/// not an H5-lite header, has zero chunk_rows or n_stripes, or has a
+/// rows x cols x 8 that overflows.
 [[nodiscard]] DatasetInfo read_info(const std::string& base);
 
 /// Random-access reader. Thread-compatible: distinct Reader instances may
@@ -53,7 +55,9 @@ class DatasetReader {
 
   [[nodiscard]] const DatasetInfo& info() const noexcept { return info_; }
 
-  /// Hyperslab: rows [row_begin, row_begin + n_rows) into `out`.
+  /// Hyperslab: rows [row_begin, row_begin + n_rows) into `out`. This and
+  /// the chunk reads raise IoError, before allocating, when stripe 0 is
+  /// shorter than the header says.
   void read_rows(std::uint64_t row_begin, std::uint64_t n_rows,
                  uoi::linalg::Matrix& out) const;
 

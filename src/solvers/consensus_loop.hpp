@@ -19,7 +19,10 @@
 //    verdict triggers a rho rescale, the speculative x-update already ran
 //    with the pre-rescale (rho, u); one redo of the x-update + reduction
 //    replays it under the rescaled values, keeping the whole trajectory
-//    bitwise identical to the unfused blocking loop.
+//    bitwise identical to the blocking path. The blocking path (fusion
+//    off) is the same loop with a p-double payload and a separate
+//    3-double reduction right after each z-update; it stays as the
+//    bitwise reference the fused path is tested against.
 //
 //  * k-step lazy consensus (AdmmOptions::consensus_interval): between
 //    consensus iterations, k-1 lazy iterations run the local x-update and
@@ -37,11 +40,10 @@
 // lock step.
 
 #include <cmath>
-#include <optional>
+#include <span>
 
 #include "linalg/blas.hpp"
 #include "simcluster/comm.hpp"
-#include "simcluster/nonblocking.hpp"
 #include "solvers/admm_loop.hpp"  // rho_rescale_factor_strided
 #include "solvers/distributed_admm.hpp"
 #include "solvers/prox.hpp"
@@ -91,19 +93,16 @@ DistributedAdmmResult run_consensus_admm_loop(
   // Stopping test from globally reduced sums; identical on every rank.
   // Must run while z still equals the z the sums were computed against
   // (guaranteed in every mode: lazy iterations freeze z, and the fused
-  // harvest evaluates before the z-update). `rho_captured` is the rho in
-  // effect when the sums were computed — a rescale between capture and a
-  // stale evaluation must not move the eps_dual goalposts.
-  const auto check_convergence = [&](const double sums[3], double s_norm,
-                                     double rho_captured) {
+  // harvest evaluates before the z-update). rho, too, is still the rho the
+  // sums were computed under: it changes only after a verdict.
+  const auto check_convergence = [&](const double sums[3], double s_norm) {
     const double r_norm = std::sqrt(sums[0]);
     const double z_stack_norm = std::sqrt(n_ranks) * uoi::linalg::nrm2(z);
     const double eps_pri =
         sqrt_p * std::sqrt(n_ranks) * options.eps_abs +
         options.eps_rel * std::max(std::sqrt(sums[1]), z_stack_norm);
     const double eps_dual = sqrt_p * std::sqrt(n_ranks) * options.eps_abs +
-                            options.eps_rel * rho_captured *
-                                std::sqrt(sums[2]);
+                            options.eps_rel * rho * std::sqrt(sums[2]);
     result.primal_residual = r_norm;
     result.dual_residual = s_norm;
     return r_norm <= eps_pri && s_norm <= eps_dual;
@@ -172,170 +171,86 @@ DistributedAdmmResult run_consensus_admm_loop(
     ++result.lazy_iterations;
   };
 
-  if (!options.pipelined_convergence_check &&
-      options.fused_residual_reduction) {
-    // ---- Fused path (default): one (p+3)-double reduction per consensus
-    // iteration carrying both the consensus sum and the previous
-    // consensus iteration's residual sums.
-    uoi::linalg::Vector payload(p + 3, 0.0);
-    double pending_local[3] = {0.0, 0.0, 0.0};
-    double pending_s_norm = 0.0;
-    double pending_rho = rho;
-    std::size_t pending_iters = 0;
-    bool have_pending = false;
-    const auto fused_allreduce = [&] {
-      for (std::size_t i = 0; i < p; ++i) payload[i] = x[i] + u[i];
+  // One loop for both reduction modes. Each consensus iteration reduces
+  // `payload`: the p-length sum of (x_i + u_i) and, when fused, the 3
+  // residual sums of the previous consensus iteration in the tail slots.
+  // The blocking mode reduces this iteration's sums right after the
+  // z-update instead; the fused mode carries them to the next payload.
+  const bool fused = options.fused_residual_reduction;
+  uoi::linalg::Vector payload(fused ? p + 3 : p, 0.0);
+  double pending_local[3] = {0.0, 0.0, 0.0};
+  double pending_s_norm = 0.0;
+  std::size_t pending_iters = 0;
+  bool have_pending = false;  // fused only: sums awaiting the next payload
+  const auto consensus_allreduce = [&] {
+    for (std::size_t i = 0; i < p; ++i) payload[i] = x[i] + u[i];
+    if (fused) {
       payload[p] = pending_local[0];
       payload[p + 1] = pending_local[1];
       payload[p + 2] = pending_local[2];
-      comm.allreduce(payload, uoi::sim::ReduceOp::kSum);
-      account(p + 3);
-      ++result.consensus_rounds;
-    };
-
-    for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-      x_update(z, u, x, rho);
-      result.local_flops += per_iteration_flops;
-      if ((iter + 1) % interval != 0) {
-        lazy_dual_step();
-        continue;
-      }
-
-      fused_allreduce();
-      if (have_pending) {
-        // Harvest the stale verdict: z is untouched since the sums were
-        // computed (lazy iterations freeze it), so the test is exact for
-        // the iterate it refers to.
-        have_pending = false;
-        const double sums[3] = {payload[p], payload[p + 1], payload[p + 2]};
-        result.iterations = pending_iters;
-        if (check_convergence(sums, pending_s_norm, pending_rho)) {
-          result.converged = true;
-          break;
-        }
-        if (maybe_rescale(pending_iters - 1)) {
-          // The speculative x-update above ran with the pre-rescale
-          // (rho, u); the unfused loop applies the rescale *before* this
-          // iteration's x-update. Replay it under the rescaled values —
-          // the scalar slots ride along unused — so the k=1 trajectory
-          // stays bitwise identical to the blocking path.
-          x_update(z, u, x, rho);
-          result.local_flops += per_iteration_flops;
-          fused_allreduce();
-        }
-      }
-
-      consensus_z_update(payload.data());
-      local_sums(pending_local);
-      pending_s_norm = dual_s_norm();
-      pending_rho = rho;
-      pending_iters = iter + 1;
-      have_pending = true;
-      result.iterations = iter + 1;
     }
-    if (!result.converged && have_pending) {
-      // Flush: the final consensus iteration's sums never rode a payload.
-      double sums[3] = {pending_local[0], pending_local[1], pending_local[2]};
-      comm.allreduce(std::span<double>(sums, 3), uoi::sim::ReduceOp::kSum);
-      account(3);
-      result.iterations = pending_iters;
-      if (check_convergence(sums, pending_s_norm, pending_rho)) {
-        result.converged = true;
-      } else {
-        maybe_rescale(pending_iters - 1);  // parity with the unfused loop
-      }
+    comm.allreduce(payload, uoi::sim::ReduceOp::kSum);
+    account(payload.size());
+    ++result.consensus_rounds;
+  };
+  // Settles the verdict for the pending iterate from its reduced `sums`:
+  // sets converged, else applies residual balancing. Returns true when
+  // rho changed.
+  const auto settle = [&](const double sums[3]) {
+    result.iterations = pending_iters;
+    result.converged = check_convergence(sums, pending_s_norm);
+    return !result.converged && maybe_rescale(pending_iters - 1);
+  };
+  // The separate 3-double reduction: every blocking iteration, and the
+  // fused path's flush of a final iterate whose sums never rode a payload.
+  const auto reduce_and_settle = [&] {
+    double sums[3] = {pending_local[0], pending_local[1], pending_local[2]};
+    comm.allreduce(std::span<double>(sums, 3), uoi::sim::ReduceOp::kSum);
+    account(3);
+    settle(sums);
+  };
+
+  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+    x_update(z, u, x, rho);
+    result.local_flops += per_iteration_flops;
+    if ((iter + 1) % interval != 0) {
+      lazy_dual_step();
+      continue;
     }
-  } else {
-    // ---- Unfused paths: separate consensus and residual reductions,
-    // optionally with the residual reduction pipelined on a duplicate
-    // communicator (the stopping verdict is then one consensus iteration
-    // stale, like the fused path).
-    uoi::linalg::Vector xu_sum(p);
-    std::optional<uoi::sim::NonblockingContext> nonblocking;
-    if (options.pipelined_convergence_check) nonblocking.emplace(comm);
-    std::optional<uoi::sim::AllreduceRequest> pending;
-    double pending_sums[3] = {0.0, 0.0, 0.0};
-    double pending_s_norm = 0.0;
-    double pending_rho = rho;
-    std::size_t pending_iters = 0;
 
-    try {
-      for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-        // Harvest the previous consensus iteration's pipelined reduction
-        // first: its verdict arrives late but costs no blocking time here
-        // beyond the residual overlap.
-        if (pending.has_value()) {
-          pending->wait();
-          pending.reset();
-          result.iterations = pending_iters;
-          if (check_convergence(pending_sums, pending_s_norm, pending_rho)) {
-            result.converged = true;
-            break;
-          }
-          maybe_rescale(pending_iters - 1);
-        }
-
+    consensus_allreduce();
+    if (have_pending) {
+      // Harvest the stale verdict: z is untouched since the sums were
+      // computed (lazy iterations freeze it), so the test is exact for
+      // the iterate it refers to.
+      have_pending = false;
+      const double sums[3] = {payload[p], payload[p + 1], payload[p + 2]};
+      if (settle(sums)) {
+        // The speculative x-update above ran with the pre-rescale
+        // (rho, u); the blocking loop applies the rescale *before* this
+        // iteration's x-update. Replay it under the rescaled values —
+        // the scalar slots ride along unused — so the k=1 trajectory
+        // stays bitwise identical to the blocking path.
         x_update(z, u, x, rho);
         result.local_flops += per_iteration_flops;
-        if ((iter + 1) % interval != 0) {
-          lazy_dual_step();
-          continue;
-        }
-
-        // Consensus z-update: one p-length Allreduce of (x_i + u_i).
-        for (std::size_t i = 0; i < p; ++i) xu_sum[i] = x[i] + u[i];
-        comm.allreduce(xu_sum, uoi::sim::ReduceOp::kSum);
-        account(p);
-        ++result.consensus_rounds;
-
-        consensus_z_update(xu_sum.data());
-
-        double sums[3];
-        local_sums(sums);
-        const double s_norm = dual_s_norm();
-
-        result.iterations = iter + 1;
-        if (nonblocking.has_value()) {
-          pending_sums[0] = sums[0];
-          pending_sums[1] = sums[1];
-          pending_sums[2] = sums[2];
-          pending_s_norm = s_norm;
-          pending_rho = rho;
-          pending_iters = iter + 1;
-          pending.emplace(nonblocking->iallreduce(
-              std::span<double>(pending_sums, 3), uoi::sim::ReduceOp::kSum));
-          account(3);
-          continue;
-        }
-
-        comm.allreduce(std::span<double>(sums, 3), uoi::sim::ReduceOp::kSum);
-        account(3);
-        if (check_convergence(sums, s_norm, rho)) {
-          result.converged = true;
-          break;
-        }
-        maybe_rescale(iter);
+        consensus_allreduce();
+      } else if (result.converged) {
+        break;
       }
-      if (pending.has_value()) {
-        pending->wait();
-        pending.reset();
-        if (!result.converged) {
-          result.iterations = pending_iters;
-          if (check_convergence(pending_sums, pending_s_norm, pending_rho)) {
-            result.converged = true;
-          }
-        }
-      }
-    } catch (const uoi::sim::RankFailedError&) {
-      // A peer died mid-solve: abort this bootstrap cleanly. Dropping the
-      // request first drains any in-flight background reduction (its dup
-      // barrier releases once the failure is registered, so the wait is
-      // bounded); the driver's recovery loop re-runs the bootstrap on the
-      // shrunk communicator.
-      pending.reset();
-      throw;
     }
+
+    consensus_z_update(payload.data());
+    local_sums(pending_local);
+    pending_s_norm = dual_s_norm();
+    pending_iters = iter + 1;
+    if (fused) {
+      have_pending = true;
+      continue;
+    }
+    reduce_and_settle();
+    if (result.converged) break;
   }
+  if (have_pending) reduce_and_settle();
 
   if (!result.converged && options.throw_on_nonconvergence) {
     throw uoi::support::ConvergenceError(

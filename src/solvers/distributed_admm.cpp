@@ -29,11 +29,6 @@ DistributedLassoAdmmSolver::DistributedLassoAdmmSolver(
 
 DistributedLassoAdmmSolver::~DistributedLassoAdmmSolver() = default;
 
-std::uint64_t DistributedLassoAdmmSolver::amortized_setup_flops()
-    const noexcept {
-  return system_ != nullptr ? system_->amortized_setup_flops() : 0;
-}
-
 DistributedAdmmResult DistributedLassoAdmmSolver::solve(
     double lambda, const DistributedAdmmResult* warm_start) const {
   return solve_elastic_net(lambda, 0.0, warm_start);

@@ -28,18 +28,17 @@ namespace uoi::solvers {
 struct DistributedAdmmResult {
   uoi::linalg::Vector beta;  ///< consensus z (identical on every rank)
   /// Completed ADMM iterations covered by the reported verdict (the
-  /// residuals below refer to exactly this many iterations, in every
-  /// mode — blocking, fused, and pipelined report the same count for the
-  /// same trajectory; speculative work discarded at a stale harvest is
-  /// not counted).
+  /// residuals below refer to exactly this many iterations; blocking and
+  /// fused report the same count for the same trajectory, and speculative
+  /// work discarded at a stale harvest is not counted).
   std::size_t iterations = 0;
   bool converged = false;
   double primal_residual = 0.0;
   double dual_residual = 0.0;
   std::uint64_t local_flops = 0;  ///< this rank's compute
-  /// Reduction rounds performed: consensus reductions plus every residual
-  /// reduction (the blocking 3-double reduction, the pipelined
-  /// iallreduce, and the fused-payload flush all count).
+  /// Reduction rounds performed: consensus reductions plus every separate
+  /// 3-double residual reduction (each blocking iteration's, and the
+  /// fused path's final flush).
   std::uint64_t allreduce_calls = 0;
   std::uint64_t allreduce_bytes = 0;   ///< bytes this rank contributed
   std::uint64_t consensus_rounds = 0;  ///< p(+3)-length consensus reductions
@@ -107,10 +106,6 @@ class DistributedLassoAdmmSolver {
   [[nodiscard]] std::uint64_t setup_flops() const noexcept {
     return setup_flops_;
   }
-  /// Setup FLOPs a fresh construction would have cost but this one reused
-  /// (always zero today; cached drivers report reuse via their own
-  /// metrics — kept symmetric with RidgeSystemSolver for the perfmodel).
-  [[nodiscard]] std::uint64_t amortized_setup_flops() const noexcept;
 
  private:
   uoi::sim::Comm* comm_;

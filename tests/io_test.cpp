@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "io/distribution.hpp"
@@ -109,6 +110,51 @@ TEST(H5Lite, HyperslabOutOfRangeThrows) {
   const uoi::io::DatasetReader reader(tmp.base());
   Matrix out;
   EXPECT_THROW(reader.read_rows(8, 5, out), uoi::support::InvalidArgument);
+}
+
+// Each case patches one 8-byte field of a valid dataset's stripe-0 header.
+// Opening or reading the whole dataset must raise IoError: never divide by
+// zero, allocate from a header that overflows or outgrows the file, or
+// size per-stripe state by a made-up stripe count.
+TEST(H5Lite, CorruptHeaderRaisesIoError) {
+  struct Patch {
+    const char* what;
+    std::streamoff offset;  // byte offset of the field in the header
+    std::uint64_t value;
+  };
+  constexpr std::streamoff kRows = 16, kCols = 24, kChunkRows = 32,
+                           kStripes = 40;
+  const Patch patches[] = {
+      {"zero chunk_rows", kChunkRows, 0},
+      {"zero n_stripes", kStripes, 0},
+      {"rows x cols x 8 overflows", kRows, std::uint64_t{1} << 62},
+      {"cols x 8 overflows", kCols, std::uint64_t{1} << 61},
+      {"more rows than stripe 0 holds", kRows, 1000},
+      {"wrong stripe count", kStripes, 2},
+      {"huge stripe count", kStripes, std::uint64_t{1} << 40},
+  };
+  for (const auto& patch : patches) {
+    SCOPED_TRACE(patch.what);
+    TempDataset tmp("uoi_corrupt_header");
+    uoi::io::write_dataset(tmp.base(), pattern_matrix(37, 5), 10, 3);
+    {
+      std::fstream f(uoi::io::stripe_path(tmp.base(), 0),
+                     std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(f);
+      f.seekp(patch.offset);
+      f.write(reinterpret_cast<const char*>(&patch.value),
+              sizeof(patch.value));
+      ASSERT_TRUE(f);
+    }
+    EXPECT_THROW(
+        {
+          const uoi::io::DatasetReader reader(tmp.base());
+          Matrix out;
+          reader.read_chunk(0, out);
+          reader.read_rows(0, reader.info().rows, out);
+        },
+        uoi::support::IoError);
+  }
 }
 
 class DistributionParam : public ::testing::TestWithParam<int> {};
