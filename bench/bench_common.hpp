@@ -91,6 +91,20 @@ class FigureTrace {
   std::string path_;
 };
 
+/// Directory bench output files go to: $UOI_BENCH_DIR (created if
+/// missing), default ".".
+inline std::string bench_output_dir() {
+  const char* env = std::getenv("UOI_BENCH_DIR");
+  const std::string dir = (env != nullptr && env[0] != '\0') ? env : ".";
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    throw uoi::support::IoError("cannot create UOI_BENCH_DIR '" + dir +
+                                "': " + ec.message());
+  }
+  return dir;
+}
+
 /// Standardized machine-readable bench telemetry. Construct at the top of a
 /// bench main() (after FigureTrace, if any), describe the configuration
 /// with config(), and on destruction it snapshots the Tracer /
@@ -199,15 +213,7 @@ class BenchReport {
     }
     out += "}}\n";
 
-    const char* env = std::getenv("UOI_BENCH_DIR");
-    const std::string dir = (env != nullptr && env[0] != '\0') ? env : ".";
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-      throw uoi::support::IoError("cannot create UOI_BENCH_DIR '" + dir +
-                                  "': " + ec.message());
-    }
-    const std::string path = dir + "/BENCH_" + figure_ + ".json";
+    const std::string path = bench_output_dir() + "/BENCH_" + figure_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
       throw uoi::support::IoError("cannot open bench telemetry file: " + path);

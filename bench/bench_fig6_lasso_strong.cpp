@@ -100,7 +100,10 @@ int main() {
   //                 identical trajectory)
   //   fused   k=4 : consensus + stopping test every 4th iteration only
   // Gates: fusion must cut reduction rounds >= 40%, k=4 must cut payload
-  // bytes >= 30%, and the k=4 solution must stay within 1e-6 of k=1.
+  // bytes >= 30%, and the k=4 solution must stay within 1e-6 of k=1. The
+  // gated runs start from rho0 = 1, the regime the lazy steps were tuned
+  // in; two ungated rows repeat k=1 / k=4 at the default data-scaled rho0,
+  // where the k=1 loop already converges in tens of iterations.
   uoi::bench::banner("communication-avoiding consensus ADMM (8 ranks)");
   struct CommAvoidPoint {
     uoi::linalg::Vector beta;
@@ -110,10 +113,11 @@ int main() {
     std::uint64_t lazy = 0;
     std::size_t iterations = 0;
   };
-  const auto run_fit = [&](bool fused, std::size_t k) {
+  const auto run_fit = [&](bool fused, std::size_t k, double rho) {
     CommAvoidPoint point;
     uoi::sim::Cluster::run(8, [&](uoi::sim::Comm& comm) {
       uoi::solvers::AdmmOptions admm;
+      admm.rho = rho;
       admm.fused_residual_reduction = fused;
       admm.consensus_interval = k;
       admm.eps_abs = 1e-8;
@@ -138,9 +142,11 @@ int main() {
     });
     return point;
   };
-  const auto unfused1 = run_fit(false, 1);
-  const auto fused1 = run_fit(true, 1);
-  const auto fused4 = run_fit(true, 4);
+  const auto unfused1 = run_fit(false, 1, 1.0);
+  const auto fused1 = run_fit(true, 1, 1.0);
+  const auto fused4 = run_fit(true, 4, 1.0);
+  const auto scaled1 = run_fit(true, 1, 0.0);
+  const auto scaled4 = run_fit(true, 4, 0.0);
 
   uoi::support::Table ca({"config", "iters", "reduction rounds",
                           "payload bytes", "lazy iters"});
@@ -150,9 +156,11 @@ int main() {
                 uoi::support::format_count(pt.bytes),
                 uoi::support::format_count(pt.lazy)});
   };
-  add_ca("unfused k=1", unfused1);
-  add_ca("fused   k=1", fused1);
-  add_ca("fused   k=4", fused4);
+  add_ca("unfused k=1, rho0 1", unfused1);
+  add_ca("fused   k=1, rho0 1", fused1);
+  add_ca("fused   k=4, rho0 1", fused4);
+  add_ca("fused   k=1, rho0 trace/p", scaled1);
+  add_ca("fused   k=4, rho0 trace/p", scaled4);
   std::printf("%s\n", ca.to_text().c_str());
 
   double beta_diff_fused = 0.0;   // fused k=1 vs unfused k=1: must be 0
@@ -177,6 +185,9 @@ int main() {
               beta_diff_fused);
   std::printf("fused k=4 max |dbeta|:    %.3g (gate: <= 1e-6)\n",
               beta_diff_lazy);
+  std::printf("k=4 payload-byte cut at rho0 trace/p: %.1f%% (not gated)\n",
+              100.0 * (1.0 - static_cast<double>(scaled4.bytes) /
+                                 static_cast<double>(scaled1.bytes)));
   telemetry.config("comm_avoid_round_reduction_pct", round_reduction)
       .config("comm_avoid_byte_reduction_pct", byte_reduction)
       .config("comm_avoid_fused_bitwise", beta_diff_fused == 0.0 ? 1 : 0)
@@ -216,9 +227,11 @@ int main() {
   double wall_on = 0.0;
   uoi::linalg::Vector beta_off;
   uoi::linalg::Vector beta_on;
+  const std::string sink_path =
+      uoi::bench::bench_output_dir() + "/BENCH_fig6_telemetry.jsonl";
   for (int rep = 0; rep < 3; ++rep) {  // min-of-3: suppress OS noise
     const auto off = timed_fit(nullptr);
-    const auto on = timed_fit("BENCH_fig6_telemetry.jsonl");
+    const auto on = timed_fit(sink_path.c_str());
     if (rep == 0 || off.first < wall_off) wall_off = off.first;
     if (rep == 0 || on.first < wall_on) wall_on = on.first;
     beta_off = off.second;

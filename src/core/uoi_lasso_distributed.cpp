@@ -111,7 +111,8 @@ UoiFamily detail::linear_family(const LinearProblem& problem) {
           fresh->solver.emplace(context.task_comm, fresh->x_local,
                                 fresh->y_local,
                                 uoi::solvers::detail::refined_admm_options(
-                                    problem.admm, problem.screen));
+                                    problem.admm, problem.screen,
+                                    fresh->screen_inputs.col_sq_norms));
         }
       }
       fresh->bytes_estimate =

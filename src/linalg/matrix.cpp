@@ -88,6 +88,13 @@ Matrix Matrix::gather_cols(std::span<const std::size_t> indices) const {
   return out;
 }
 
+double Matrix::trace() const noexcept {
+  double sum = 0.0;
+  const std::size_t dim = std::min(rows_, cols_);
+  for (std::size_t i = 0; i < dim; ++i) sum += data_[i * cols_ + i];
+  return sum;
+}
+
 Matrix Matrix::transposed() const {
   Matrix out(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {

@@ -87,6 +87,9 @@ class Matrix {
   /// Transposed copy.
   [[nodiscard]] Matrix transposed() const;
 
+  /// Sum of the diagonal entries.
+  [[nodiscard]] double trace() const noexcept;
+
   bool operator==(const Matrix& other) const = default;
 
  private:

@@ -1,5 +1,6 @@
 #include "solvers/admm_lasso.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "linalg/blas.hpp"
@@ -11,6 +12,14 @@
 namespace uoi::solvers {
 
 using uoi::linalg::ConstMatrixView;
+
+double resolve_rho(double requested, double gram_trace, std::size_t width) {
+  UOI_CHECK(requested >= 0.0, "rho must be non-negative (0 = data-scaled)");
+  if (requested > 0.0) return requested;
+  const double scaled =
+      width > 0 ? gram_trace / static_cast<double>(width) : 0.0;
+  return scaled > 0.0 && std::isfinite(scaled) ? scaled : 1.0;
+}
 
 std::size_t resolve_consensus_interval(std::size_t requested) {
   if (requested != 0) return requested;
@@ -35,9 +44,12 @@ LassoAdmmSolver::LassoAdmmSolver(ConstMatrixView a, std::span<const double> b,
 
   atb_.assign(a.cols(), 0.0);
   uoi::linalg::gemv_transposed(1.0, a, b, 0.0, atb_);
-  system_ = std::make_unique<RidgeSystemSolver>(a, options_.rho);
+  auto gram = std::make_shared<const RidgeGram>(a);
+  options_.rho = resolve_rho(options_.rho, gram->gram().trace(), a.cols());
+  system_ = std::make_unique<RidgeSystemSolver>(a, options_.rho, gram);
+  // This solver built the Gram, so it pays for it (a cold start's cost).
   setup_flops_ = uoi::linalg::gemv_flops(a.rows(), a.cols()) +
-                 system_->setup_flops();
+                 system_->setup_flops() + gram->gram_flops();
   pending_setup_flops_ = setup_flops_;
 }
 

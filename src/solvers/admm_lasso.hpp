@@ -12,6 +12,16 @@
 // when n < p the matrix-inversion lemma reduces it to an n x n factorization
 // of (A A' + rho I). Setting lambda = 0 turns the solver into the OLS the
 // paper uses for model estimation (§II-C).
+//
+// The initial rho scales with the data: the loss Hessian A'A grows with the
+// row count (~n per diagonal entry for standardized columns), so a unit
+// rho leaves the x-update dominated by the data term and residual
+// balancing spends hundreds of iterations doubling rho toward it. Every
+// LASSO / elastic-net / VAR solve therefore starts from trace(A'A)/width
+// (resolve_rho) unless the caller sets an explicit rho. Serial solvers take
+// the trace from the Gram they build; screened lambda chains resolve it
+// once per chain from the replicated column norms, so every solve of a
+// chain (and every screening mode) starts from the same rho.
 
 #include <cstdint>
 #include <memory>
@@ -25,7 +35,10 @@ namespace uoi::solvers {
 
 /// Stopping / relaxation parameters shared by all ADMM variants.
 struct AdmmOptions {
-  double rho = 1.0;            ///< initial augmented-Lagrangian penalty
+  /// Initial augmented-Lagrangian penalty. 0 (the default) derives it
+  /// from the data as trace(A'A)/width, the mean diagonal of the loss
+  /// Hessian (see resolve_rho); an explicit value > 0 overrides it.
+  double rho = 0.0;
   double alpha = 1.5;          ///< over-relaxation (1.0 disables)
   double eps_abs = 1e-6;       ///< absolute tolerance
   double eps_rel = 1e-4;       ///< relative tolerance
@@ -65,6 +78,13 @@ struct AdmmOptions {
   /// classic consensus loop bitwise.
   std::size_t consensus_interval = 0;
 };
+
+/// The initial rho of a solve whose Gram A'A has trace `gram_trace` over
+/// `width` coefficients: an explicit `requested` > 0 wins; 0 gives
+/// trace/width (1.0 for an all-zero design). trace(A'A) = trace(AA') =
+/// ||A||_F^2, so the Woodbury path's n x n Gram serves as well.
+[[nodiscard]] double resolve_rho(double requested, double gram_trace,
+                                 std::size_t width);
 
 /// Resolves AdmmOptions::consensus_interval: an explicit value >= 1 wins;
 /// 0 falls back to $UOI_CONSENSUS_INTERVAL, then to 1.

@@ -70,10 +70,15 @@ SparseLassoAdmmSolver::SparseLassoAdmmSolver(const SparseMatrix& a,
 
   if (p <= dense_gram_max_cols) {
     gram_ = std::make_unique<Matrix>(a.gram());
+    options_.rho = resolve_rho(options_.rho, gram_->trace(), p);
     factor_ = factor_with_rho(*gram_, options_.rho);
     setup_flops_ += uoi::linalg::cholesky_flops(p);
+  } else {
+    // Matrix-free CG per x-update (factor_ stays null); no Gram, so the
+    // trace comes from the stored entries: trace(A'A) = ||A||_F^2.
+    options_.rho =
+        resolve_rho(options_.rho, uoi::linalg::nrm2_squared(a.values()), p);
   }
-  // else: matrix-free CG per x-update (factor_ stays null).
 }
 
 SparseLassoAdmmSolver::~SparseLassoAdmmSolver() = default;
@@ -115,6 +120,9 @@ KronLassoAdmmSolver::KronLassoAdmmSolver(const KroneckerIdentityOp& op,
   // One small factorization serves every diagonal block:
   // (I (x) X)'(I (x) X) + rho I = I (x) (X'X + rho I).
   block_gram_ = std::make_unique<Matrix>(op.block_gram());
+  // trace(I (x) X'X) / (count * dp) = trace(X'X) / dp.
+  options_.rho = resolve_rho(options_.rho, block_gram_->trace(),
+                             block_gram_->rows());
   block_factor_ = factor_with_rho(*block_gram_, options_.rho);
   setup_flops_ +=
       uoi::linalg::gemm_flops(block_gram_->rows(), op.block().rows(),

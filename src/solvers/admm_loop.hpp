@@ -3,7 +3,8 @@
 // distributed solvers differ only in how the x-update linear system
 // (A'A + rho I) x = q is solved; everything else — over-relaxation, the
 // z/u updates, Boyd's §3.3 stopping test, and §3.4.1 residual-balancing
-// adaptation of rho — lives here once.
+// adaptation of rho — lives here once. The solvers hand in options whose
+// rho is already resolved (resolve_rho: explicit, or trace(A'A)/width).
 
 #include <cmath>
 #include <span>

@@ -35,9 +35,12 @@
 //    point (lazy steps vanish at x = z). The stopping test (and rho
 //    adaptation) runs only on consensus iterations.
 //
-// rho updates are driven by globally reduced residuals, so every rank
-// takes the same branch — no extra communication is needed to stay in
-// lock step.
+// rho arrives resolved (options.rho > 0) and identical on every rank: the
+// callers derive a default rho from the *global* trace(A'A)/width, either
+// from a chain's replicated column norms or from one scalar reduction at
+// solver construction (see resolve_rho in admm_lasso.hpp). rho updates are
+// driven by globally reduced residuals, so every rank takes the same
+// branch — no extra communication is needed to stay in lock step.
 
 #include <cmath>
 #include <span>

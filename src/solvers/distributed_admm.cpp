@@ -18,11 +18,23 @@ DistributedLassoAdmmSolver::DistributedLassoAdmmSolver(
   UOI_CHECK(local_a.cols() > 0, "distributed LASSO: zero features");
 
   atb_.assign(a_.cols(), 0.0);
+  std::shared_ptr<const RidgeGram> gram;
+  double trace = 0.0;
   if (a_.rows() > 0) {
     uoi::linalg::gemv_transposed(1.0, a_, b_, 0.0, atb_);
-    system_ = std::make_unique<RidgeSystemSolver>(a_, options_.rho);
+    gram = std::make_shared<const RidgeGram>(a_);
+    trace = gram->gram().trace();
+  }
+  if (options_.rho == 0.0) {
+    // Data-scaled rho from the global trace: every rank must factor with
+    // the same rho, so the local traces are sum-reduced (one scalar).
+    comm.allreduce(std::span<double>(&trace, 1), uoi::sim::ReduceOp::kSum);
+  }
+  options_.rho = resolve_rho(options_.rho, trace, a_.cols());
+  if (gram != nullptr) {
+    system_ = std::make_unique<RidgeSystemSolver>(a_, options_.rho, gram);
     setup_flops_ = uoi::linalg::gemv_flops(a_.rows(), a_.cols()) +
-                   system_->setup_flops();
+                   system_->setup_flops() + gram->gram_flops();
   }
   pending_setup_flops_ = setup_flops_;
 }

@@ -15,6 +15,12 @@
 // The per-iteration Allreduce carries p doubles (p = 20,101 in the paper's
 // UoI_LASSO runs) plus a small residual reduction. Setting lambda = 0 gives
 // the distributed OLS used in model estimation (paper §II-C).
+//
+// rho must be identical on every rank. Given AdmmOptions::rho = 0, the
+// solver derives it from the *global* trace(A'A)/p (resolve_rho): the
+// constructor sum-reduces one scalar, the local Gram traces. Screened
+// chains pass an explicit rho resolved from their replicated column norms,
+// so solvers built inside a chain construct with no collective.
 
 #include <span>
 
@@ -84,7 +90,8 @@ struct AdmmTally {
 };
 
 /// Factorization-caching distributed solver; `local_a`/`local_b` are this
-/// rank's row block. All ranks must construct and call it collectively.
+/// rank's row block. All ranks must construct and call it collectively
+/// (construction reduces one scalar when options.rho is 0).
 class DistributedLassoAdmmSolver {
  public:
   DistributedLassoAdmmSolver(uoi::sim::Comm& comm,

@@ -110,8 +110,12 @@ DistributedLogisticResult distributed_logistic_lasso(
     }
   };
 
+  // The logistic loss keeps its own unit penalty: trace(A'A)/width scales
+  // the squared loss's Hessian, not the logistic one (bounded by A'A / 4).
+  AdmmOptions unit_rho = options;
+  if (unit_rho.rho == 0.0) unit_rho.rho = 1.0;
   const auto consensus = detail::run_consensus_admm_loop(
-      comm, dim, lambda, options, x_update,
+      comm, dim, lambda, unit_rho, x_update,
       /*setup_flops=*/0,
       /*per_iteration_flops=*/newton_steps *
           (2 * n * dim + dim * dim * dim / 3),

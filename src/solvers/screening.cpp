@@ -142,7 +142,11 @@ Matrix gather_cols_view(ConstMatrixView a, std::span<const std::size_t> idx) {
 }
 
 AdmmOptions refined_admm_options(AdmmOptions admm,
-                                 const ScreenOptions& screen) {
+                                 const ScreenOptions& screen,
+                                 std::span<const double> col_sq_norms) {
+  double trace = 0.0;
+  for (const double v : col_sq_norms) trace += v;
+  admm.rho = resolve_rho(admm.rho, trace, col_sq_norms.size());
   admm.eps_abs *= screen.refine_tolerance_scale;
   admm.eps_rel *= screen.refine_tolerance_scale;
   admm.max_iterations *= screen.refine_iteration_scale;
@@ -173,8 +177,7 @@ ScreenedLassoChain::ScreenedLassoChain(ConstMatrixView a,
                                        std::span<const double> b,
                                        const AdmmOptions& admm,
                                        const ScreenOptions& screen)
-    : a_(a), b_(b), admm_(detail::refined_admm_options(admm, screen)),
-      screen_(screen), mode_(resolve_screen_mode(screen.mode)) {
+    : a_(a), b_(b), screen_(screen), mode_(resolve_screen_mode(screen.mode)) {
   const std::size_t p = a_.cols();
   atb_.assign(p, 0.0);
   uoi::linalg::gemv_transposed(1.0, a_, b_, 0.0, atb_);
@@ -183,6 +186,7 @@ ScreenedLassoChain::ScreenedLassoChain(ConstMatrixView a,
     const auto row = a_.row(r);
     for (std::size_t j = 0; j < p; ++j) col_sq_norms_[j] += row[j] * row[j];
   }
+  admm_ = detail::refined_admm_options(admm, screen, col_sq_norms_);
   b_norm_sq_ = uoi::linalg::nrm2_squared(b_);
   for (const double v : atb_) lambda_max_ = std::max(lambda_max_, std::abs(v));
   state_.reset(p);
@@ -357,8 +361,9 @@ DistributedScreenedLassoChain::DistributedScreenedLassoChain(
     const AdmmOptions& admm, const ScreenOptions& screen,
     const DistributedLassoAdmmSolver* full_solver)
     : comm_(&comm), a_(local_a), b_(local_b), shared_(&shared),
-      admm_(detail::refined_admm_options(admm, screen)), screen_(screen),
-      mode_(resolve_screen_mode(screen.mode)), full_solver_(full_solver) {
+      admm_(detail::refined_admm_options(admm, screen, shared.col_sq_norms)),
+      screen_(screen), mode_(resolve_screen_mode(screen.mode)),
+      full_solver_(full_solver) {
   UOI_CHECK_DIMS(shared.atb.size() == local_a.cols(),
                  "screen inputs shape mismatch");
   state_.reset(local_a.cols());

@@ -133,12 +133,17 @@ struct ChainScreenState {
     uoi::linalg::ConstMatrixView a, std::span<const std::size_t> idx);
 
 /// The options every chain solve runs under: ScreenOptions refinement
-/// applied to the caller's AdmmOptions. Drivers that pre-build full-path
-/// solvers for a chain to reuse (cached off-mode solvers) must construct
-/// them with these options so all modes solve under identical stopping
-/// rules.
-[[nodiscard]] AdmmOptions refined_admm_options(AdmmOptions admm,
-                                               const ScreenOptions& screen);
+/// applied to the caller's AdmmOptions, and rho resolved once for the
+/// whole chain — a default (0) rho becomes trace(A'A)/p =
+/// sum(col_sq_norms)/p of the chain's full problem. Working solves,
+/// canonical re-solves and cached full solvers all start from this one
+/// rho, which is what keeps the screening modes byte-identical. The norms
+/// are replicated in distributed use, so resolving costs no collective.
+/// Drivers that pre-build full-path solvers for a chain to reuse (cached
+/// off-mode solvers) must construct them with these options.
+[[nodiscard]] AdmmOptions refined_admm_options(
+    AdmmOptions admm, const ScreenOptions& screen,
+    std::span<const double> col_sq_norms);
 
 }  // namespace detail
 

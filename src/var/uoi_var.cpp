@@ -204,20 +204,23 @@ class VarWorkingSetSolver {
 /// is backend-specific, injected via `full_solve`.
 class SerialScreenedVarChain {
  public:
+  /// Off-mode full solve at (lambda, warm start), run under the chain's
+  /// options (refined stopping rules and the chain's resolved rho).
   using FullSolve = std::function<uoi::solvers::AdmmResult(
-      double, const uoi::solvers::AdmmResult*)>;
+      double, const uoi::solvers::AdmmResult*,
+      const uoi::solvers::AdmmOptions&)>;
 
   SerialScreenedVarChain(const LagRegression& lag,
                          std::span<const double> vec_y,
                          const uoi::solvers::AdmmOptions& admm,
                          const uoi::solvers::ScreenOptions& screen,
                          FullSolve full_solve)
-      : lag_(&lag), vec_y_(vec_y),
-        admm_(uoi::solvers::detail::refined_admm_options(admm, screen)),
-        screen_(screen),
+      : lag_(&lag), vec_y_(vec_y), screen_(screen),
         mode_(uoi::solvers::resolve_screen_mode(screen.mode)),
         full_solve_(std::move(full_solve)),
         inputs_(var_screen_inputs(lag, vec_y)) {
+    admm_ = uoi::solvers::detail::refined_admm_options(admm, screen,
+                                                       inputs_.col_sq_norms);
     state_.reset(inputs_.atb.size());
   }
 
@@ -277,7 +280,7 @@ uoi::solvers::AdmmResult SerialScreenedVarChain::solve(double lambda) {
     if (mode_ == ScreenMode::kOff) {
       AdmmResult ws;
       ws.beta = state_.beta_prev;
-      work = full_solve_(lambda, &ws);
+      work = full_solve_(lambda, &ws, admm_);
     } else if (working.empty()) {
       work = AdmmResult{};
       work.converged = true;
@@ -508,14 +511,12 @@ UoiVarResult UoiVar::fit(ConstMatrixView series_view) const {
     std::optional<uoi::linalg::SparseMatrix> design;
     std::optional<uoi::solvers::KronLassoAdmmSolver> kron_solver;
     std::optional<uoi::solvers::SparseLassoAdmmSolver> sparse_solver;
-    // Off-mode full solvers serve chain working solves, so they must run
-    // under the chain's refined stopping rules.
-    const uoi::solvers::AdmmOptions chain_admm =
-        uoi::solvers::detail::refined_admm_options(options_.admm,
-                                                   options_.screen);
+    // Off-mode full solvers serve chain working solves, so they are built
+    // with the chain's options.
     SerialScreenedVarChain chain(
         lag, problem.vec_y, options_.admm, options_.screen,
-        [&](double lambda, const uoi::solvers::AdmmResult* warm) {
+        [&](double lambda, const uoi::solvers::AdmmResult* warm,
+            const uoi::solvers::AdmmOptions& chain_admm) {
           if (options_.backend == VarSolverBackend::kStructured) {
             if (!kron_solver) {
               kron_solver.emplace(problem.design, problem.vec_y, chain_admm);

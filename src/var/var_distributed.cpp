@@ -216,7 +216,10 @@ void DistributedVarAdmmSolver::init(std::span<const std::size_t> working) {
   atb_.assign(n_solve_coeffs_, 0.0);
 
   // Local rows arrive grouped by equation (global rows are contiguous), so
-  // one pass finds the per-equation ranges.
+  // one pass finds the per-equation ranges and builds their Grams; the
+  // factorizations follow once rho is resolved.
+  std::vector<std::shared_ptr<const uoi::solvers::RidgeGram>> grams;
+  double trace = 0.0;
   std::size_t begin = 0;
   const std::size_t n_local = block.equation_of_row.size();
   while (begin < n_local) {
@@ -255,9 +258,8 @@ void DistributedVarAdmmSolver::init(std::span<const std::size_t> working) {
           block.x_rows.row_block(begin, end - begin), local_cols);
     }
     const ConstMatrixView rows_view = sys.rows(block);
-    sys.solver = std::make_unique<uoi::solvers::RidgeSystemSolver>(
-        rows_view, options_.rho);
-    setup_flops_ += sys.solver->setup_flops();
+    grams.push_back(std::make_shared<const uoi::solvers::RidgeGram>(rows_view));
+    trace += grams.back()->gram().trace();
 
     // A'b restricted to this equation's surviving coordinates.
     Vector partial(width, 0.0);
@@ -269,6 +271,20 @@ void DistributedVarAdmmSolver::init(std::span<const std::size_t> working) {
 
     systems_.push_back(std::move(sys));
     begin = end;
+  }
+
+  // One rho on every rank: a data-scaled rho comes from the global trace
+  // of the block-diagonal Gram, so the local traces are sum-reduced.
+  if (options_.rho == 0.0) {
+    comm_->allreduce(std::span<double>(&trace, 1), ReduceOp::kSum);
+  }
+  options_.rho =
+      uoi::solvers::resolve_rho(options_.rho, trace, n_solve_coeffs_);
+  for (std::size_t k = 0; k < systems_.size(); ++k) {
+    auto& sys = systems_[k];
+    sys.solver = std::make_unique<uoi::solvers::RidgeSystemSolver>(
+        sys.rows(block), options_.rho, grams[k]);
+    setup_flops_ += sys.solver->setup_flops() + grams[k]->gram_flops();
   }
   pending_setup_flops_ = setup_flops_;
 }
@@ -413,7 +429,8 @@ class ScreenedVarChain {
                    const uoi::solvers::ScreenOptions& screen,
                    const DistributedVarAdmmSolver* full_solver)
       : comm_(&comm), block_(&block), shared_(&shared),
-        admm_(uoi::solvers::detail::refined_admm_options(admm, screen)),
+        admm_(uoi::solvers::detail::refined_admm_options(
+            admm, screen, shared.col_sq_norms)),
         screen_(screen), mode_(uoi::solvers::resolve_screen_mode(screen.mode)),
         full_solver_(full_solver) {
     state_.reset(block.n_coefficients());
@@ -662,6 +679,10 @@ UoiVarDistributedResult uoi_var_distributed(
       .add(static_cast<std::uint64_t>(series.rows()))
       .add(static_cast<std::uint64_t>(p))
       .add(options.support_tolerance)
+      .add(options.admm.rho)
+      .add(options.admm.eps_abs)
+      .add(options.admm.eps_rel)
+      .add(static_cast<std::uint64_t>(options.admm.max_iterations))
       .add(static_cast<std::uint64_t>(screen_opts.mode));
   for (const double l : model.lambdas) fp.add(l);
   family.fingerprint = fp.value();
@@ -696,7 +717,8 @@ UoiVarDistributedResult uoi_var_distributed(
           // under the chain's refined stopping rules.
           fresh->solver.emplace(context.task_comm, fresh->block,
                                 uoi::solvers::detail::refined_admm_options(
-                                    options.admm, screen_opts));
+                                    options.admm, screen_opts,
+                                    fresh->screen_inputs.col_sq_norms));
         }
       }
       fresh->bytes_estimate =

@@ -62,7 +62,9 @@ struct VarLocalBlock {
 
 /// Block-structured distributed consensus LASSO-ADMM over assembled blocks.
 /// Semantics match solvers::DistributedLassoAdmmSolver with the Gram
-/// factorization specialized to the block-diagonal structure.
+/// factorization specialized to the block-diagonal structure, including
+/// the data-scaled rho: given options.rho = 0, construction sum-reduces
+/// the local Gram traces (one scalar) and starts from trace/width.
 class DistributedVarAdmmSolver {
  public:
   DistributedVarAdmmSolver(uoi::sim::Comm& comm, const VarLocalBlock& block,

@@ -96,6 +96,7 @@ TEST(FusedReduction, BitwiseIdenticalUnderHeavyRhoRescaling) {
   const double lambda = 0.05 * uoi::solvers::lambda_max(data.x, data.y);
 
   uoi::solvers::AdmmOptions blocking;
+  blocking.rho = 1.0;  // far from the data scale: many rescales
   blocking.fused_residual_reduction = false;
   blocking.consensus_interval = 1;
   blocking.rho_update_interval = 2;  // rescale as often as possible

@@ -844,6 +844,75 @@ TEST(FaultRecovery, CheckpointCrashRestartResumesAndMatches) {
   std::filesystem::remove(path);
 }
 
+// A checkpoint's selection counts are only valid for the ADMM trajectory
+// that produced them, so the fingerprint covers the ADMM options: counts
+// saved under an explicit rho = 1 must not be merged into a default
+// (data-scaled) rho fit. Control: the same options do resume.
+TEST(FaultRecovery, LassoCheckpointFromOtherRhoIsNotResumed) {
+  const auto data = lasso_data();
+  auto options = lasso_options();
+  const uoi::core::UoiParallelLayout layout{2, 1};
+  const auto path =
+      (std::filesystem::temp_directory_path() / "uoi_lasso_rho_ckpt.txt")
+          .string();
+  std::filesystem::remove(path);
+  options.recovery.checkpoint_path = path;
+  options.recovery.checkpoint_interval = 1;
+  auto unit_rho = options;
+  unit_rho.admm.rho = 1.0;
+
+  (void)run_lasso(4, data, unit_rho, layout, nullptr);
+  ASSERT_TRUE(std::filesystem::exists(path));
+  const auto same = run_lasso(4, data, unit_rho, layout, nullptr);
+  const auto other = run_lasso(4, data, options, layout, nullptr);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(same.reports[r].recovery.checkpoint_resumes, 1u) << r;
+    EXPECT_EQ(other.reports[r].recovery.checkpoint_resumes, 0u) << r;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(FaultRecovery, VarCheckpointFromOtherRhoIsNotResumed) {
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 4;
+  spec.edges_per_node = 1.0;
+  spec.seed = 61;
+  const auto truth = uoi::data::make_sparse_var(spec);
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 100;
+  sim.seed = 62;
+  const Matrix series = uoi::var::simulate(truth, sim);
+  const auto path =
+      (std::filesystem::temp_directory_path() / "uoi_var_rho_ckpt.txt")
+          .string();
+  std::filesystem::remove(path);
+
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 2;
+  options.n_lambdas = 4;
+  options.seed = 63;
+  options.recovery.checkpoint_path = path;
+  options.recovery.checkpoint_interval = 1;
+  auto unit_rho = options;
+  unit_rho.admm.rho = 1.0;
+
+  const auto run = [&](const uoi::var::UoiVarOptions& o) {
+    return Cluster::run_collect_reports(4, [&](Comm& comm) {
+      (void)uoi::var::uoi_var_distributed(comm, series, o, {2, 1}, 2);
+    });
+  };
+  (void)run(unit_rho);
+  ASSERT_TRUE(std::filesystem::exists(path));
+  const auto same = run(unit_rho);
+  const auto other = run(options);
+  for (std::size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(same[r].recovery.checkpoint_resumes, 1u) << r;
+    EXPECT_EQ(other[r].recovery.checkpoint_resumes, 0u) << r;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(FaultRecovery, VarRankKilledMidSelectionMatchesFaultFree) {
   uoi::data::VarSpec spec;
   spec.n_nodes = 4;

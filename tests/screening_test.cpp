@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <vector>
 
 #include "data/synthetic_regression.hpp"
@@ -274,6 +275,59 @@ TEST(ScreeningDistributed, ModesAreByteIdenticalAndShrinkPayload) {
   // Active-set consensus: screened payloads ((|W|+3) doubles per round,
   // plus the KKT checks) must move fewer bytes than the full-p chain.
   EXPECT_LT(bytes[1], bytes[0]);
+}
+
+TEST(ScreeningDistributed, CachedFullSolverMatchesScreenedModesAtFullSupport) {
+  // Every feature active, so the path ends on supports of all p: there the
+  // off-mode result *is* the working solve of the cached full solver the
+  // drivers build up front (refined options from the shared column norms),
+  // while safe/strong return a gathered all-p solve. Both must start from
+  // the chain's one data-scaled rho to agree bitwise.
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 64;
+  spec.n_features = 8;
+  spec.support_size = 8;
+  spec.seed = 37;
+  const auto data = uoi::data::make_regression(spec);
+  const auto lambdas = descending_grid(data.x, data.y, 5, 1e-3);
+  const AdmmOptions admm;  // default: data-scaled rho
+
+  std::vector<std::vector<Vector>> betas;
+  for (const ScreenMode mode :
+       {ScreenMode::kOff, ScreenMode::kStrong, ScreenMode::kSafe}) {
+    std::vector<Vector> path;
+    uoi::sim::Cluster::run(2, [&](uoi::sim::Comm& comm) {
+      const std::size_t n = data.x.rows();
+      const std::size_t begin = n * comm.rank() / comm.size();
+      const std::size_t end = n * (comm.rank() + 1) / comm.size();
+      const auto local_x = data.x.row_block(begin, end - begin);
+      const std::span<const double> local_y =
+          std::span<const double>(data.y).subspan(begin, end - begin);
+      const auto shared =
+          uoi::solvers::build_screen_inputs(comm, local_x, local_y);
+      std::optional<uoi::solvers::DistributedLassoAdmmSolver> cached;
+      if (mode == ScreenMode::kOff) {
+        cached.emplace(comm, local_x, local_y,
+                       uoi::solvers::detail::refined_admm_options(
+                           admm, screen_with(mode), shared.col_sq_norms));
+      }
+      uoi::solvers::DistributedScreenedLassoChain chain(
+          comm, local_x, local_y, shared, admm, screen_with(mode),
+          cached ? &*cached : nullptr);
+      for (const double lambda : lambdas) {
+        auto fit = chain.solve(lambda);
+        if (comm.rank() == 0) path.push_back(std::move(fit.beta));
+      }
+    });
+    betas.push_back(std::move(path));
+  }
+  for (const double b : betas[0].back()) EXPECT_NE(b, 0.0);  // all p active
+  for (std::size_t m = 1; m < betas.size(); ++m) {
+    for (std::size_t i = 0; i < betas[0].size(); ++i) {
+      EXPECT_EQ(uoi::linalg::max_abs_diff(betas[0][i], betas[m][i]), 0.0)
+          << "mode " << m << " lambda " << i;
+    }
+  }
 }
 
 TEST(ScreeningDistributed, SharedInputsMatchSerialQuantities) {

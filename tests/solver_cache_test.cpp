@@ -2,14 +2,17 @@
 // factor-stage split, the diagonal-shift Cholesky, and the end-to-end
 // guarantee that the driver-level solver cache never changes a model —
 // cached and cold runs must be bit-identical under every schedule policy
-// and across a mid-selection rank failure.
+// and across a mid-selection rank failure. The data-scaled default rho
+// keeps that guarantee, and screening modes too.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "core/uoi_elastic_net_distributed.hpp"
 #include "core/uoi_lasso_distributed.hpp"
 #include "data/synthetic_regression.hpp"
 #include "data/synthetic_var.hpp"
@@ -319,6 +322,129 @@ TEST(SolverCacheInvariance, VarCachedAndColdBitIdenticalAcrossPolicies) {
     EXPECT_EQ(uoi::linalg::max_abs_diff(betas[0], betas[i]), 0.0)
         << "variant " << i;
   }
+}
+
+// ---- default (data-scaled) rho: every knob combination bit-identical ----
+
+using uoi::solvers::ScreenMode;
+
+/// Runs `fit(screen, policy, cache_mb)` over every screening mode, schedule
+/// policy and cache setting; expects one byte-identical beta throughout.
+template <typename Fit>
+void expect_identical_across_knobs(Fit&& fit) {
+  std::vector<Vector> betas;
+  for (const ScreenMode screen :
+       {ScreenMode::kOff, ScreenMode::kSafe, ScreenMode::kStrong}) {
+    for (const SchedulePolicy policy :
+         {SchedulePolicy::kStatic, SchedulePolicy::kCostLpt,
+          SchedulePolicy::kWorkSteal}) {
+      for (const long cache_mb : {64L, 0L}) {
+        betas.push_back(fit(screen, policy, cache_mb));
+      }
+    }
+  }
+  for (std::size_t i = 1; i < betas.size(); ++i) {
+    ASSERT_EQ(betas[i].size(), betas[0].size());
+    EXPECT_EQ(std::memcmp(betas[i].data(), betas[0].data(),
+                          betas[0].size() * sizeof(double)),
+              0)
+        << "variant " << i << " (screen " << i / 6 << ", policy "
+        << (i / 2) % 3 << ", cache " << i % 2 << ")";
+  }
+}
+
+TEST(DefaultRhoInvariance, LassoIdenticalAcrossScreenCacheAndPolicy) {
+  // Every feature active: at the smallest lambda each chain's final
+  // support is all p, so off mode returns the cached full solver's working
+  // solve while the screened modes return a gathered all-p solve.
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 64;
+  spec.n_features = 8;
+  spec.support_size = 8;
+  spec.seed = 31;
+  const auto data = uoi::data::make_regression(spec);
+
+  uoi::core::UoiLassoOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 3;
+  options.n_lambdas = 6;
+  options.seed = 33;
+  expect_identical_across_knobs([&](ScreenMode screen, SchedulePolicy policy,
+                                    long cache_mb) {
+    options.screen.mode = screen;
+    options.schedule = policy;
+    options.solver_cache_mb = cache_mb;
+    Vector beta;
+    uoi::sim::Cluster::run(8, [&](uoi::sim::Comm& comm) {
+      const auto result = uoi::core::uoi_lasso_distributed(
+          comm, data.x, data.y, options, {2, 2});
+      if (comm.rank() == 0) {
+        EXPECT_EQ(result.model.candidate_supports.back().size(), spec.n_features);
+        beta = result.model.beta;
+      }
+    });
+    return beta;
+  });
+}
+
+TEST(DefaultRhoInvariance, ElasticNetIdenticalAcrossScreenCacheAndPolicy) {
+  uoi::data::RegressionSpec spec;
+  spec.n_samples = 64;
+  spec.n_features = 10;
+  spec.support_size = 4;
+  spec.feature_correlation = 0.5;
+  spec.seed = 41;
+  const auto data = uoi::data::make_regression(spec);
+
+  uoi::core::UoiElasticNetOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 3;
+  options.n_lambdas = 4;
+  options.l1_ratios = {1.0, 0.5};
+  options.seed = 43;
+  expect_identical_across_knobs([&](ScreenMode screen, SchedulePolicy policy,
+                                    long cache_mb) {
+    options.screen.mode = screen;
+    options.schedule = policy;
+    options.solver_cache_mb = cache_mb;
+    Vector beta;
+    uoi::sim::Cluster::run(8, [&](uoi::sim::Comm& comm) {
+      const auto result = uoi::core::uoi_elastic_net_distributed(
+          comm, data.x, data.y, options, {2, 2});
+      if (comm.rank() == 0) beta = result.model.beta;
+    });
+    return beta;
+  });
+}
+
+TEST(DefaultRhoInvariance, VarIdenticalAcrossScreenCacheAndPolicy) {
+  uoi::data::VarSpec spec;
+  spec.n_nodes = 4;
+  spec.seed = 51;
+  const auto truth = uoi::data::make_sparse_var(spec);
+  uoi::var::SimulateOptions sim;
+  sim.n_samples = 60;
+  sim.seed = 52;
+  const auto series = uoi::var::simulate(truth, sim);
+
+  uoi::var::UoiVarOptions options;
+  options.n_selection_bootstraps = 4;
+  options.n_estimation_bootstraps = 3;
+  options.n_lambdas = 5;
+  options.seed = 53;
+  expect_identical_across_knobs([&](ScreenMode screen, SchedulePolicy policy,
+                                    long cache_mb) {
+    options.screen.mode = screen;
+    options.schedule = policy;
+    options.solver_cache_mb = cache_mb;
+    Vector beta;
+    uoi::sim::Cluster::run(8, [&](uoi::sim::Comm& comm) {
+      const auto result =
+          uoi::var::uoi_var_distributed(comm, series, options, {2, 2}, 2);
+      if (comm.rank() == 0) beta = result.model.vec_beta;
+    });
+    return beta;
+  });
 }
 
 // ---- fault replay with the cache enabled ----

@@ -158,10 +158,48 @@ TEST(Admm, WoodburyPathWhenWide) {
   expect_kkt(data.x, data.y, fit.beta, lambda, 1e-3 * lambda + 1e-6);
 }
 
+TEST(Admm, DataScaledRhoCutsPathIterations) {
+  // Cold 8-lambda path, p = 64: the default rho0 = trace(A'A)/p starts
+  // near the loss curvature (~n), where rho0 = 1 spends most iterations
+  // doubling rho toward it.
+  for (const std::size_t n : {512, 2048}) {
+    uoi::data::RegressionSpec spec;
+    spec.n_samples = n;
+    spec.n_features = 64;
+    spec.support_size = 8;
+    spec.noise_stddev = 0.5;
+    const auto data = uoi::data::make_regression(spec);
+    const auto grid = uoi::solvers::log_spaced_lambdas(
+        uoi::solvers::lambda_max(data.x, data.y), 1e-3, 8);
+    std::size_t iterations[2] = {0, 0};
+    for (const bool scaled : {false, true}) {
+      uoi::solvers::AdmmOptions options;
+      if (!scaled) options.rho = 1.0;
+      const uoi::solvers::LassoAdmmSolver solver(data.x, data.y, options);
+      for (const double lambda : grid) {
+        const auto fit = solver.solve(lambda);
+        EXPECT_TRUE(fit.converged) << "n " << n << " lambda " << lambda;
+        iterations[scaled ? 1 : 0] += fit.iterations;
+      }
+    }
+    EXPECT_LE(3 * iterations[1], iterations[0]) << "n " << n;
+  }
+}
+
+TEST(Admm, ResolveRhoPrefersExplicitThenTraceOverWidth) {
+  EXPECT_EQ(uoi::solvers::resolve_rho(2.5, 1000.0, 10), 2.5);
+  EXPECT_EQ(uoi::solvers::resolve_rho(0.0, 1000.0, 10), 100.0);
+  EXPECT_EQ(uoi::solvers::resolve_rho(0.0, 0.0, 10), 1.0);  // all-zero data
+  EXPECT_THROW((void)uoi::solvers::resolve_rho(-1.0, 1000.0, 10),
+               uoi::support::InvalidArgument);
+}
+
 TEST(Admm, WarmStartReducesIterations) {
   const auto data = small_problem(11);
   const double hi = uoi::solvers::lambda_max(data.x, data.y);
-  const uoi::solvers::LassoAdmmSolver solver(data.x, data.y);
+  uoi::solvers::AdmmOptions options;
+  options.rho = 1.0;  // the trajectory this comparison was written for
+  const uoi::solvers::LassoAdmmSolver solver(data.x, data.y, options);
   const auto cold = solver.solve(0.09 * hi);
   const auto path_point = solver.solve(0.1 * hi);
   const auto warm = solver.solve(0.09 * hi, &path_point);
